@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ark import (ButcherTable, IntegrationStats, SolverError,
-                  adaptive_evolve, fixed_evolve, sdirk4)
+                  _weighted_sum, adaptive_evolve, fixed_evolve, sdirk4)
 from .profiling import Region, null_profile
 from .vectors import clone_empty, copy_of, fused_linear_combination
 
@@ -68,15 +68,6 @@ class MRICoupling:
 
     def delta_a(self, i: int) -> tuple:
         return tuple(hi - lo for hi, lo in zip(self.rows[i + 1], self.rows[i]))
-
-
-def _weighted_sum(coeffs, vecs, out):
-    cs = [c for c in coeffs if c != 0.0]
-    vs = [v for c, v in zip(coeffs, vecs) if c != 0.0]
-    if not cs:
-        out.fill(0.0)
-        return
-    fused_linear_combination(cs, vs, out)
 
 
 def mri_forcing(coupling: MRICoupling, i: int, slow_rhs, out):

@@ -2,9 +2,19 @@
 
 The reaction network couples unknowns only within a cell, so the
 Jacobian is block diagonal: one (5 + n_c) square block per cell, every
-block sharing the same sparsity pattern. Blocks are assembled in a
-compressed-row layout batched over cells, expanded to dense blocks, and
-factored with partially pivoted LU, all vectorized over the cell axis.
+block sharing the same sparsity pattern. The pattern is analysed once
+and splits the rows of I - hg*J in two:
+
+  identity rows  no pattern entry; the update is x = b, done in place on
+                 the vector's arrays;
+  coupled rows   one small m x m block per cell (3 x 3 for the surrogate
+                 network), assembled straight from the pattern values and
+                 factored by partially pivoted LU batched over cells.
+
+A pattern column outside the coupled rows (the density for the
+surrogate) is an identity row, so its value is known before the block
+solve and its term moves into the right-hand side: a block-triangular
+order with the 1 x 1 identity blocks first.
 
 Per Newton iteration there is exactly one global reduction (the WRMS
 norm of the update). Linear solves touch no communicator at all; the
@@ -16,19 +26,27 @@ coefficient forces a rebuild.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .chemistry import SPECIES
 from .profiling import Region, null_profile
 from .vectors import subarrays
 
 DEFAULT_MAX_ITERS = 10
 DEFAULT_CONV_COEF = 0.01
+FLUID_FIELDS = ("rho", "mx", "my", "mz", "et")
 
 
 class LinearSolveError(RuntimeError):
-    pass
+    """A singular block; cell and column locate the zero pivot."""
+
+    def __init__(self, message: str, cell: int | None = None,
+                 column: int | None = None):
+        super().__init__(message)
+        self.cell = cell
+        self.column = column
 
 
 class ConvergenceFailure(Exception):
@@ -38,51 +56,6 @@ class ConvergenceFailure(Exception):
     def __init__(self, message: str, jac_was_fresh: bool):
         super().__init__(message)
         self.jac_was_fresh = jac_was_fresh
-
-
-class BlockCSR:
-    """Block-diagonal matrix, one nb x nb block per cell, shared pattern.
-
-    values has shape (n_cells, nnz) in row-major entry order. The
-    diagonal is always present so I - hg*J can be formed in place.
-    """
-
-    def __init__(self, nb: int, pattern, n_cells: int):
-        entries = sorted(set(pattern) | {(i, i) for i in range(nb)})
-        for r, c in entries:
-            if not (0 <= r < nb and 0 <= c < nb):
-                raise ValueError(f"pattern entry ({r}, {c}) outside block")
-        self.nb = nb
-        self.n_cells = n_cells
-        self.indptr = np.zeros(nb + 1, dtype=np.int64)
-        self.indices = np.array([c for _, c in entries], dtype=np.int64)
-        for r, _ in entries:
-            self.indptr[r + 1] += 1
-        np.cumsum(self.indptr, out=self.indptr)
-        slot = {rc: k for k, rc in enumerate(entries)}
-        self._pattern_slots = np.array([slot[rc] for rc in pattern], dtype=np.int64)
-        self._diag_slots = np.array([slot[(i, i)] for i in range(nb)], dtype=np.int64)
-        self._rows = np.repeat(np.arange(nb), np.diff(self.indptr))
-        self.values = np.zeros((n_cells, len(entries)))
-
-    def set_shifted(self, pattern_values: np.ndarray, scale: float):
-        """values <- I + scale * J, with J given on the construction pattern."""
-        self.values[:] = 0.0
-        np.add.at(self.values, (slice(None), self._pattern_slots),
-                  scale * pattern_values)
-        self.values[:, self._diag_slots] += 1.0
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n_cells, self.nb))
-        for r in range(self.nb):
-            seg = slice(self.indptr[r], self.indptr[r + 1])
-            out[:, r] = (self.values[:, seg] * x[:, self.indices[seg]]).sum(axis=1)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        blocks = np.zeros((self.n_cells, self.nb, self.nb))
-        blocks[:, self._rows, self.indices] = self.values
-        return blocks
 
 
 def block_lu_factor(blocks: np.ndarray) -> np.ndarray:
@@ -101,7 +74,8 @@ def block_lu_factor(blocks: np.ndarray) -> np.ndarray:
         if np.any(pivots == 0.0):
             bad = int(np.flatnonzero(pivots == 0.0)[0])
             raise LinearSolveError(
-                f"singular {nb}x{nb} block in cell {bad} (pivot column {k})")
+                f"singular {nb}x{nb} block in cell {bad} (pivot column {k})",
+                cell=bad, column=k)
         tmp = blocks[cells, k, :].copy()
         blocks[cells, k, :] = blocks[cells, p, :]
         blocks[cells, p, :] = tmp
@@ -129,19 +103,9 @@ def block_lu_solve(blocks: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.n
     return x
 
 
-def vector_to_blocks(v) -> np.ndarray:
-    """Cell-major (n_cells, nb) copy of a fluid+chemistry vector."""
-    parts = [a.reshape(-1, 1) for a in v.arrays[:5]]
-    chem = v.arrays[5]
-    parts.append(chem.reshape(-1, chem.shape[-1]))
-    return np.concatenate(parts, axis=1)
-
-
-def blocks_to_vector(blocks: np.ndarray, v):
-    for i, a in enumerate(v.arrays[:5]):
-        a.reshape(-1)[:] = blocks[:, i]
-    chem = v.arrays[5]
-    chem.reshape(-1, chem.shape[-1])[:] = blocks[:, 5:]
+def _field(v, row: int) -> np.ndarray:
+    """View of block row `row` of a fluid+chemistry vector, cell-shaped."""
+    return v.arrays[row] if row < 5 else v.arrays[5][..., row - 5]
 
 
 @dataclass
@@ -159,7 +123,8 @@ class NewtonEngine:
     jacobian(t, state) must return entries for `pattern` stacked on the
     last axis over the local cells. The iteration matrix I - hg*J is
     kept (with its factorization) between calls and rebuilt only when hg
-    changes or reset()/a convergence failure invalidates it.
+    changes or reset()/a convergence failure invalidates it. Only its
+    coupled rows are stored: see the module docstring.
     """
 
     def __init__(self, jacobian, pattern, nb: int, n_cells: int, comm=None,
@@ -172,7 +137,16 @@ class NewtonEngine:
         self.max_iters = max_iters
         self.conv_coef = conv_coef
         self.stats = NewtonStats()
-        self._matrix = BlockCSR(nb, self.pattern, n_cells)
+        self.n_cells = n_cells
+        for r, c in self.pattern:
+            if not (0 <= r < nb and 0 <= c < nb):
+                raise ValueError(f"pattern entry ({r}, {c}) outside block")
+        self._rows = sorted({r for r, _ in self.pattern})
+        self._local = {r: i for i, r in enumerate(self._rows)}
+        # (block row, vector row) of each term whose column is an identity row
+        self._known = sorted({(self._local[r], c) for r, c in self.pattern
+                              if c not in self._local})
+        self._known_coef = None
         self._jac_values = None
         self._lu = None
         self._piv = None
@@ -222,10 +196,8 @@ class NewtonEngine:
                 g += zz
                 g -= aa
             with self.profile.region(Region.LIN_SOLVE):
-                delta = block_lu_solve(self._lu, self._piv,
-                                       -vector_to_blocks(resid))
+                self._solve_in_place(resid)
             self.stats.solves += 1
-            blocks_to_vector(delta, resid)
             for zz, dd in zip(subarrays(z), subarrays(resid)):
                 zz += dd
             norm = self._wrms(resid, weights)
@@ -242,14 +214,49 @@ class NewtonEngine:
         raise ConvergenceFailure(
             f"no convergence in {self.max_iters} iterations", was_fresh)
 
+    def _solve_in_place(self, v):
+        """v <- (I - hg*J)^-1 (-v): identity rows are negated in place;
+        known-column terms move to the right-hand side of the block."""
+        for x in v.arrays:
+            np.negative(x, out=x)
+        fields = [_field(v, r) for r in self._rows]
+        rhs = np.empty((self.n_cells, len(fields)))
+        for j, x in enumerate(fields):
+            rhs[:, j] = x.reshape(-1)
+        for q, (j, c) in enumerate(self._known):
+            rhs[:, j] -= self._known_coef[:, q] * _field(v, c).reshape(-1)
+        sol = block_lu_solve(self._lu, self._piv, rhs)
+        for j, x in enumerate(fields):
+            x[...] = sol[:, j].reshape(x.shape)
+
     def _eval_jacobian(self, t, z):
         vals = self.jacobian(t, z)
         return vals.reshape(-1, len(self.pattern))
 
     def _factor(self, hg: float):
+        self._lu = None
+        m = len(self._rows)
         with self.profile.region(Region.LIN_SETUP):
-            self._matrix.set_shifted(self._jac_values, -hg)
-            self._lu = self._matrix.to_dense()
-            self._piv = block_lu_factor(self._lu)
+            vals = self._jac_values
+            lu = np.zeros((self.n_cells, m, m))
+            known = np.zeros((self.n_cells, len(self._known)))
+            slot = {rc: q for q, rc in enumerate(self._known)}
+            # -hg*J entry by entry (duplicates add), then +1 on the diagonal
+            for k, (r, c) in enumerate(self.pattern):
+                i = self._local[r]
+                if c in self._local:
+                    lu[:, i, self._local[c]] += -hg * vals[:, k]
+                else:
+                    known[:, slot[(i, c)]] += -hg * vals[:, k]
+            lu[:, range(m), range(m)] += 1.0
+            try:
+                piv = block_lu_factor(lu)
+            except LinearSolveError as err:
+                row = self._rows[err.column]
+                raise LinearSolveError(
+                    f"singular Newton block in local cell {err.cell}: zero"
+                    f" pivot for field {(FLUID_FIELDS + SPECIES)[row]}",
+                    cell=err.cell, column=row) from err
+        self._lu, self._piv, self._known_coef = lu, piv, known
         self._hg_cached = hg
         self.stats.factorizations += 1

@@ -19,21 +19,13 @@ evaluation bit-identical as well.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .transport import ProtocolError
 
 SNAPSHOT_MAGIC = b"MVSNAP01"
-
-
-@dataclass
-class VectorSpec:
-    """Shape bookkeeping for one subvector."""
-    kind: str              # "distributed" or "task_local"
-    local_length: int
-    global_length: int
 
 
 @dataclass
@@ -73,10 +65,6 @@ class ManyVector:
         self.batched_reductions = batched_reductions
 
     # structure ----------------------------------------------------------
-    def specs(self):
-        return [VectorSpec(k, a.size, g)
-                for k, a, g in zip(self.kinds, self.arrays, self.global_lengths)]
-
     @property
     def global_length(self) -> int:
         return int(sum(self.global_lengths))

@@ -1,51 +1,14 @@
-"""Block-diagonal LU, the BlockCSR container, and the modified Newton
-engine with its caching and reduction discipline."""
+"""Block-diagonal LU, the reduced per-cell linear solve, and the modified
+Newton engine with its caching and reduction discipline."""
 
 import numpy as np
 import pytest
 
 from mrflow.chemistry import IEG, IH, IH2, N_SPECIES, SurrogateNetwork
-from mrflow.newton import (BlockCSR, ConvergenceFailure, LinearSolveError,
-                           NewtonEngine, block_lu_factor, block_lu_solve,
-                           blocks_to_vector, vector_to_blocks)
+from mrflow.newton import (ConvergenceFailure, LinearSolveError,
+                           NewtonEngine, block_lu_factor, block_lu_solve)
 from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector, ReductionLedger, error_weights
-
-
-def test_block_csr_dense_against_oracle():
-    rng = np.random.default_rng(3)
-    pattern = ((0, 0), (0, 2), (2, 1), (3, 3))
-    m = BlockCSR(4, pattern, 5)
-    vals = rng.standard_normal((5, len(pattern)))
-    m.set_shifted(vals, -0.25)
-    dense = m.to_dense()
-    expect = np.zeros((5, 4, 4))
-    for k, (r, c) in enumerate(pattern):
-        expect[:, r, c] += -0.25 * vals[:, k]
-    expect += np.eye(4)
-    np.testing.assert_allclose(dense, expect, rtol=1e-15)
-
-
-def test_block_csr_matvec():
-    rng = np.random.default_rng(4)
-    pattern = ((0, 1), (1, 0), (2, 2), (2, 0))
-    m = BlockCSR(3, pattern, 6)
-    m.set_shifted(rng.standard_normal((6, 4)), 1.0)
-    x = rng.standard_normal((6, 3))
-    np.testing.assert_allclose(m.matvec(x),
-                               np.einsum("cij,cj->ci", m.to_dense(), x),
-                               rtol=1e-14)
-
-
-def test_block_csr_duplicate_entries_accumulate():
-    m = BlockCSR(2, ((0, 1), (0, 1)), 1)
-    m.set_shifted(np.array([[3.0, 4.0]]), 1.0)
-    np.testing.assert_allclose(m.to_dense()[0], [[1.0, 7.0], [0.0, 1.0]])
-
-
-def test_block_csr_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        BlockCSR(3, ((0, 3),), 1)
 
 
 def test_block_lu_matches_dense_solve():
@@ -83,22 +46,6 @@ def _state(shape, n_chem, comm=None, batched=True):
     gl = [n * size] * 5 + [n * n_chem * size]
     return ManyVector(arrays, kinds=kinds, global_lengths=gl, comm=comm,
                       fused_ops=batched, batched_reductions=batched)
-
-
-def test_vector_block_round_trip():
-    v = _state((2, 1, 1), 2)
-    for i, a in enumerate(v.arrays[:5]):
-        a[...] = [[[10.0 * i]], [[10.0 * i + 1]]]
-    v.arrays[5][..., 0] = [[[50.0]], [[51.0]]]
-    v.arrays[5][..., 1] = [[[60.0]], [[61.0]]]
-    blocks = vector_to_blocks(v)
-    np.testing.assert_array_equal(
-        blocks, [[0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
-                 [1.0, 11.0, 21.0, 31.0, 41.0, 51.0, 61.0]])
-    w = _state((2, 1, 1), 2)
-    blocks_to_vector(blocks, w)
-    for a, b in zip(v.arrays, w.arrays):
-        np.testing.assert_array_equal(a, b)
 
 
 # a linear stiff term acting on two chemistry slots; exact Jacobian
@@ -167,6 +114,90 @@ def test_linear_solve_no_communication():
     for rank, (iters, rounds, (sends, recvs, _)) in enumerate(
             run_spmd(2, _ledger_worker, True)):
         assert (sends, recvs) == (iters, iters)
+
+
+def _blocks(v) -> np.ndarray:
+    """Cell-major (n_cells, 5 + n_c) copy of a fluid+chemistry vector."""
+    chem = v.arrays[5]
+    return np.concatenate([a.reshape(-1, 1) for a in v.arrays[:5]]
+                          + [chem.reshape(-1, chem.shape[-1])], axis=1)
+
+
+def _one_update(pattern, nb, vals, hg, seed=21):
+    """The first Newton update from z = 0 (so z ends equal to it), with a
+    constant right-hand side and Jacobian values `vals` (n_cells, nnz)."""
+    shape = (3, 2, 1)
+    rng = np.random.default_rng(seed)
+    z = _state(shape, nb - 5)
+    a, forcing = z.copy(), z.copy()
+    for x in a.arrays + forcing.arrays:
+        x[...] = rng.standard_normal(x.shape)
+    eng = NewtonEngine(lambda t, v: vals.reshape(shape + (len(pattern),)),
+                       pattern, nb=nb, n_cells=int(np.prod(shape)),
+                       conv_coef=np.inf)
+    eng.solve(lambda t, v: forcing.copy(), 0.0, z, a, hg,
+              error_weights(a, 1e-5, 1e-9))
+    return _blocks(z), -hg * _blocks(forcing) - _blocks(a)
+
+
+def _dense_update(pattern, nb, vals, hg, resid):
+    """np.linalg.solve on the full (5 + n_c)^2 matrix I - hg*J."""
+    mat = np.tile(np.eye(nb), (len(vals), 1, 1))
+    for k, (r, c) in enumerate(pattern):
+        mat[:, r, c] -= hg * vals[:, k]
+    return np.linalg.solve(mat, -resid[..., None])[..., 0]
+
+
+def _random_pattern(nb, seed):
+    rng = np.random.default_rng(seed)
+    rows = sorted(int(r) for r in rng.choice(nb, 4, replace=False))
+    pattern = [(r, c) for r in rows for c in rows if rng.random() < 0.6]
+    known = next(c for c in range(nb) if c not in rows)
+    return tuple(pattern) + ((rows[1], known), (rows[3], known))
+
+
+@pytest.mark.parametrize("pattern, nb", [
+    (SurrogateNetwork.PATTERN, 5 + N_SPECIES),
+    (LIN_PATTERN, 7),
+    (_random_pattern(11, 8), 11),
+], ids=["surrogate", "linear", "random"])
+def test_update_matches_dense_solve(pattern, nb):
+    vals = np.random.default_rng(nb).standard_normal((6, len(pattern)))
+    got, resid = _one_update(pattern, nb, vals, 0.3)
+    expect = _dense_update(pattern, nb, vals, 0.3, resid)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_duplicate_pattern_entries_accumulate():
+    # two entries on one block slot and two on one known-column slot
+    dup = ((5, 6), (5, 6), (6, 0), (6, 0), (6, 6))
+    merged = ((5, 6), (6, 0), (6, 6))
+    vals = np.tile([3.0, 4.0, 1.5, 2.5, -2.0], (6, 1))
+    got, resid = _one_update(dup, 7, vals, 1.0)
+    want, _ = _one_update(merged, 7, np.tile([7.0, 4.0, -2.0], (6, 1)), 1.0)
+    np.testing.assert_array_equal(got, want)
+    expect = _dense_update(dup, 7, vals, 1.0, resid)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("entry", [(0, 7), (7, 0), (-1, 5), (5, -1)],
+                         ids=["col-high", "row-high", "row-low", "col-low"])
+def test_pattern_outside_block_rejected(entry):
+    with pytest.raises(ValueError, match="outside block"):
+        NewtonEngine(lambda t, v: None, ((5, 5), entry), nb=7, n_cells=1)
+
+
+def test_singular_block_names_cell_and_field():
+    # J = 1 at hg = 1 makes the 1x1 block of cell 1 exactly zero
+    shape = (3, 1, 1)
+    z = _state(shape, 1)
+    jac = np.array([0.5, 1.0, 0.5]).reshape(shape + (1,))
+    eng = NewtonEngine(lambda t, v: jac, ((5, 5),), nb=6, n_cells=3)
+    with pytest.raises(LinearSolveError,
+                       match=r"local cell 1: zero pivot for field H$") as info:
+        eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 1.0,
+                  error_weights(z, 1e-5, 1e-9))
+    assert (info.value.cell, info.value.column) == (1, 5)
 
 
 def _network_setup(hg):
