@@ -3,14 +3,16 @@
 State fields, in canonical order: rho, mx, my, mz, et, then n_c advected
 chemical fields. Face fluxes are built from point values with local
 Lax-Friedrichs splitting, component-wise WENO5 reconstruction, and a
-conservative difference. Each right-hand-side evaluation runs in two
-passes so halo traffic overlaps with interior work:
+conservative difference. Pressure, flux and wave speed are pointwise, so
+each is computed once per cell (and axis), and the reconstruction reads
+the six stencil positions as shifted views of ghost-extended arrays.
+Each right-hand-side evaluation overlaps halo traffic with owned work:
 
-  begin exchange -> interior-face fluxes -> finish exchange ->
-  boundary-face fluxes -> divergence
+  begin exchange -> owned pointwise quantities -> finish exchange ->
+  ghost pointwise quantities -> reconstruct faces -> divergence
 
-Interior stencils are packed straight from owned cells and never touch
-ghost storage, which is what makes the overlap legal.
+The owned pass reads owned cells only and never touches ghost storage,
+which is what makes the overlap legal.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import HALO_DEPTH, HaloExchanger
+from .mesh import FACE_NAMES, HaloExchanger
 from .profiling import Region, null_profile
 from .vectors import ManyVector
 
@@ -32,7 +33,16 @@ _W_IDEAL = (0.1, 0.6, 0.3)
 
 
 class EosDomainError(RuntimeError):
-    """Nonpositive internal energy handed to the equation of state."""
+    """Nonpositive internal energy handed to the equation of state.
+
+    `index` is the first offending element (C order) of the checked
+    arrays and `value` its internal energy.
+    """
+
+    def __init__(self, message, index=(), value=float("nan")):
+        super().__init__(message)
+        self.index = index
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -54,11 +64,16 @@ def kinetic_energy(rho, mx, my, mz):
     return (mx * mx + my * my + mz * mz) / (2.0 * rho)
 
 
-def pressure(gas: GasConstants, rho, mx, my, mz, et, check: bool = True):
-    """p = (gamma - 1) * (et - |m|^2 / (2 rho))."""
+def pressure(gas: GasConstants, rho, mx, my, mz, et):
+    """p = (gamma - 1) * (et - |m|^2 / (2 rho)); nonpositive internal
+    energy raises EosDomainError."""
     internal = et - kinetic_energy(rho, mx, my, mz)
-    if check and np.any(internal <= 0.0):
-        raise EosDomainError("nonpositive internal energy")
+    bad = internal <= 0.0
+    if np.any(bad):
+        index = np.unravel_index(np.argmax(bad), np.shape(bad))
+        value = float(np.asarray(internal)[index])
+        raise EosDomainError(f"nonpositive internal energy {value:.6g}",
+                             index, value)
     return (gas.gamma - 1.0) * internal
 
 
@@ -66,31 +81,18 @@ def sound_speed(gas: GasConstants, rho, p):
     return np.sqrt(gas.gamma * p / rho)
 
 
-def flux(gas: GasConstants, w, axis: int):
-    """Analytic flux along `axis` for states stacked on the last axis."""
-    w = np.asarray(w)
-    rho = w[..., IRHO]
-    m = (w[..., IMX], w[..., IMY], w[..., IMZ])
-    et = w[..., IET]
-    p = pressure(gas, rho, *m, et)
-    v = m[axis] / rho
+def flux(gas: GasConstants, w, p, axis: int):
+    """Analytic flux along `axis` for states stacked on the first axis,
+    given their pressure p."""
+    m = w[IMX:IET]
+    v = m[axis] / w[IRHO]
     out = np.empty_like(w)
-    out[..., IRHO] = m[axis]
-    for j in range(3):
-        out[..., IMX + j] = m[j] * v
-    out[..., IMX + axis] += p
-    out[..., IET] = v * (et + p)
-    out[..., ICHEM:] = w[..., ICHEM:] * v[..., None]
+    out[IRHO] = m[axis]
+    np.multiply(m, v, out=out[IMX:IET])
+    out[IMX + axis] += p
+    out[IET] = v * (w[IET] + p)
+    np.multiply(w[ICHEM:], v, out=out[ICHEM:])
     return out
-
-
-def max_wave_speed(gas: GasConstants, stencil, axis: int):
-    """max(|v_axis| + c) over each 6-cell stencil; stencil is (N, 6, nf)."""
-    rho = stencil[..., IRHO]
-    m = (stencil[..., IMX], stencil[..., IMY], stencil[..., IMZ])
-    p = pressure(gas, rho, *m, stencil[..., IET])
-    lam = np.abs(m[axis] / rho) + np.sqrt(gas.gamma * p / rho)
-    return lam.max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,92 +113,29 @@ def _weno5_left(f0, f1, f2, f3, f4, eps):
     return (a0 * p0 + a1 * p1 + a2 * p2) / asum
 
 
-def weno5_face_flux(gas: GasConstants, stencil, lam, axis: int,
-                    eps: float = WENO_EPS):
-    """Split-flux WENO5 value at each face.
+def _face_flux(w, f, lam, eps):
+    """Split-flux WENO5 value at each face along one axis.
 
-    stencil: (N, 6, nf) cell states, positions i-3..i+2 around face
-    i-1/2 (stencil-position major, field minor). lam: (N,) local
-    Lax-Friedrichs speeds, each >= max(|v_axis| + c) over its stencil.
+    w, f: (n + 6, nf, ...) states and fluxes; lam: (n + 6, 1, ...) their
+    |v_axis| + c. That axis comes first and carries three ghost cells on
+    each side, so face i - 1/2 of owned cell i reads extended cells
+    i..i+5: each stencil position is one shifted view, and the local
+    Lax-Friedrichs speed is the running maximum over six of them.
     """
-    F = flux(gas, stencil, axis)
-    lam3 = lam[:, None, None]
-    fplus = 0.5 * (F + lam3 * stencil)
-    fminus = 0.5 * (F - lam3 * stencil)
+    n = len(lam) - 5
+    speed = lam[:n]
+    for k in range(1, 6):
+        speed = np.maximum(speed, lam[k:k + n])
     # upwind-from-left uses cells i-3..i+1; upwind-from-right mirrors
-    left = _weno5_left(fplus[:, 0], fplus[:, 1], fplus[:, 2],
-                       fplus[:, 3], fplus[:, 4], eps)
-    right = _weno5_left(fminus[:, 5], fminus[:, 4], fminus[:, 3],
-                        fminus[:, 2], fminus[:, 1], eps)
-    return left + right
+    plus = [0.5 * (f[k:k + n] + speed * w[k:k + n]) for k in range(5)]
+    minus = [0.5 * (f[k:k + n] - speed * w[k:k + n]) for k in range(5, 0, -1)]
+    return _weno5_left(*plus, eps) + _weno5_left(*minus, eps)
 
 
-# ---------------------------------------------------------------------------
-# stencil packing
-
-def interior_face_range(n: int):
-    """Faces whose 6-cell stencil stays inside owned cells: i in [3, n-3]."""
-    return (3, n - 2) if n >= 6 else (3, 3)
-
-
-def pack_interior_stencils(fields, axis: int):
-    """StencilBuffer for every interior face along `axis`.
-
-    Returns (buffer, (lo, hi)) where buffer is (N, 6, nf) in C order
-    over (face position, transverse coordinates) and faces lo..hi-1 are
-    covered. Reads owned cells only.
-    """
-    n = fields[0].shape[axis]
-    lo, hi = interior_face_range(n)
-    if hi <= lo:
-        return np.empty((0, 6, len(fields))), (lo, hi)
-    # sliding_window_view appends the 6-wide window axis last; stacking the
-    # fields after it gives (spatial', 6, nf) with faces counted on `axis`
-    wins = [sliding_window_view(f, 6, axis=axis) for f in fields]
-    buf = np.stack(wins, axis=-1)
-    order = _face_major_order(axis, buf.shape[:3])
-    buf = np.transpose(buf, order + (3, 4))
-    return np.ascontiguousarray(buf.reshape(-1, 6, len(fields))), (lo, hi)
-
-
-def _face_major_order(axis, spatial_shape):
-    """Axis order putting the face axis first, remaining axes in x,y,z order."""
-    rest = [a for a in range(3) if a != axis]
-    return (axis, rest[0], rest[1])
-
-
-def pack_boundary_stencils(fields, halo, axis: int):
-    """StencilBuffer for the faces the interior pass skipped.
-
-    Composes owned cells with received ghost slabs, so it must run after
-    the exchange finishes. Returns (buffer, list of face blocks
-    [(face_lo, face_hi), ...]) in ascending face order.
-    """
-    n = fields[0].shape[axis]
-    lo_int, hi_int = interior_face_range(n)
-    slab_lo = halo.slabs[2 * axis]
-    slab_hi = halo.slabs[2 * axis + 1]
-    nf = len(fields)
-    ext = np.concatenate(
-        [slab_lo, np.stack(fields), slab_hi], axis=1 + axis)
-    wins = sliding_window_view(ext, 6, axis=1 + axis)
-    # wins: (nf, spatial..., 6) with the axis dim now counting faces 0..n
-    blocks = []
-    if hi_int <= lo_int:
-        blocks.append((0, n + 1))
-    else:
-        blocks.append((0, lo_int))
-        blocks.append((hi_int, n + 1))
-    parts = []
-    for blo, bhi in blocks:
-        sl = [slice(None)] * 4
-        sl[1 + axis] = slice(blo, bhi)
-        part = wins[tuple(sl)]  # (nf, spatial', 6)
-        part = np.moveaxis(part, 0, -1)  # (spatial', 6, nf)
-        order = _face_major_order(axis, part.shape[:3])
-        part = np.transpose(part, order + (3, 4))
-        parts.append(np.ascontiguousarray(part.reshape(-1, 6, nf)))
-    return parts, blocks
+def _extend(lo, owned, hi, axis):
+    """Ghost, owned and ghost cells joined along array axis 1 + axis,
+    with that axis moved first."""
+    return np.concatenate([np.moveaxis(a, 1 + axis, 0) for a in (lo, owned, hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +152,11 @@ def state_fields(state: ManyVector):
 class EulerPipeline:
     """Slow right-hand side: f(t, w) = -div F(w) + G(t).
 
-    Owns the halo exchanger and scratch flux storage for one task.
-    Timing lands in regions: MPI for transport waits, Packing for
-    stencil copies, FDWENO for reconstruction, Euler for the whole
-    divergence build, SlowRhs for the full call including forcing.
+    Owns the halo exchanger for one task. Timing lands in regions: MPI
+    for transport waits, Packing for the stacking and ghost-extension
+    copies, FDWENO for pointwise fluxes and reconstruction, Euler for
+    the whole divergence build, SlowRhs for the full call including
+    forcing.
     """
 
     def __init__(self, comm, decomp, gas: GasConstants, n_chem: int,
@@ -232,9 +172,6 @@ class EulerPipeline:
         self.debug = debug
         self.eps = eps
         self.exchanger = HaloExchanger(comm, decomp, self.n_fields)
-        shape = decomp.local_shape
-        self._flux = [np.empty(_face_array_shape(shape, ax) + (self.n_fields,))
-                      for ax in range(3)]
         self.n_calls = 0
 
     # one conservative-difference evaluation
@@ -260,60 +197,58 @@ class EulerPipeline:
     def _divergence(self, state: ManyVector):
         prof = self.profile
         fields = state_fields(state)
-        gas = self.gas
-        if self.debug:
-            for f in self._flux:
-                f.fill(np.nan)
         with prof.region(Region.MPI):
             handle = self.exchanger.begin(fields, poison=self.debug)
-        for axis in range(3):
-            with prof.region(Region.PACKING):
-                buf, (lo, hi) = pack_interior_stencils(fields, axis)
-            if hi > lo:
-                if self.debug and np.any(np.isnan(buf)):
-                    raise RuntimeError("interior stencils read ghost data")
-                with prof.region(Region.FDWENO):
-                    lam = max_wave_speed(gas, buf, axis)
-                    face = weno5_face_flux(gas, buf, lam, axis, self.eps)
-                self._scatter(axis, lo, hi, face)
+        with prof.region(Region.PACKING):
+            owned = np.stack(fields)
+        with prof.region(Region.FDWENO):
+            inner = self._pointwise(owned, range(3))
         with prof.region(Region.MPI):
-            halo = handle.finish()
-        for axis in range(3):
-            with prof.region(Region.PACKING):
-                parts, blocks = pack_boundary_stencils(fields, halo, axis)
-            for part, (blo, bhi) in zip(parts, blocks):
-                if bhi <= blo:
-                    continue
-                with prof.region(Region.FDWENO):
-                    lam = max_wave_speed(gas, part, axis)
-                    face = weno5_face_flux(gas, part, lam, axis, self.eps)
-                self._scatter(axis, blo, bhi, face)
-        if self.debug and any(np.any(np.isnan(f)) for f in self._flux):
-            raise RuntimeError("face flux left unset before divergence")
+            slabs = handle.finish().slabs
+        if self.debug:
+            for face, slab in enumerate(slabs):
+                if np.any(np.isnan(slab)):
+                    raise RuntimeError(
+                        f"ghost slab {FACE_NAMES[face]} left unset by the exchange")
+        with prof.region(Region.FDWENO):
+            ghost = [self._pointwise(slab, (face // 2,), face)[0]
+                     for face, slab in enumerate(slabs)]
         # conservative difference, axis terms accumulated in x, y, z order
-        dx, dy, dz = self.decomp.grid.spacing
-        fx, fy, fz = self._flux
-        div = (fx[1:, :, :] - fx[:-1, :, :]) / dx
-        div += (fy[:, 1:, :] - fy[:, :-1, :]) / dy
-        div += (fz[:, :, 1:] - fz[:, :, :-1]) / dz
-        return np.moveaxis(div, -1, 0)
+        div = None
+        for axis, h in enumerate(self.decomp.grid.spacing):
+            lo, hi = 2 * axis, 2 * axis + 1
+            with prof.region(Region.PACKING):
+                w = _extend(slabs[lo], owned, slabs[hi], axis)
+                f, lam = (_extend(*parts, axis)
+                          for parts in zip(ghost[lo], inner[axis], ghost[hi]))
+            with prof.region(Region.FDWENO):
+                face = _face_flux(w, f, lam, self.eps)
+            term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
+            if div is None:
+                div = term
+            else:
+                div += term
+        return div
 
-    def _scatter(self, axis, lo, hi, face_values):
-        dest = self._flux[axis]
-        shape = list(dest.shape[:3])
-        shape[axis] = hi - lo
-        rest = [a for a in range(3) if a != axis]
-        vals = face_values.reshape(tuple(shape[a] for a in (axis, *rest)) + (self.n_fields,))
-        vals = np.moveaxis(vals, (0, 1, 2), (axis, *rest))
-        sl = [slice(None)] * 3
-        sl[axis] = slice(lo, hi)
-        dest[tuple(sl)] = vals
-
-
-def _face_array_shape(local_shape, axis):
-    s = list(local_shape)
-    s[axis] += 1
-    return tuple(s)
+    def _pointwise(self, w, axes, face=None):
+        """[(flux, |v_axis| + c)] of the (nf, ...) states w for each axis in
+        `axes`; the wave speed keeps a unit field axis. w holds the owned
+        cells, or the ghost slab of `face`; a failed equation-of-state
+        check names the rank and the global cell or the face."""
+        rho = w[IRHO]
+        try:
+            p = pressure(self.gas, *w[:ICHEM])
+        except EosDomainError as exc:
+            if face is None:
+                where = "global cell " + str(tuple(
+                    lo + int(i) for (lo, _), i in zip(self.decomp.extents, exc.index)))
+            else:
+                where = f"ghost slab {FACE_NAMES[face]}"
+            raise EosDomainError(f"rank {self.decomp.rank}: {exc} at {where}",
+                                 exc.index, exc.value) from None
+        c = sound_speed(self.gas, rho, p)
+        return [(flux(self.gas, w, p, axis), (np.abs(w[IMX + axis] / rho) + c)[None])
+                for axis in axes]
 
 
 def cfl_time_step(gas: GasConstants, state: ManyVector, spacing,

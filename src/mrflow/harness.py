@@ -29,7 +29,8 @@ from .chemistry import (EnergyBookkeeping, IEG, N_SPECIES, SurrogateNetwork,
                         UnitSystem, clump_table, density_field,
                         nondimensionalize, species_init, temperature_field)
 from .euler import EosDomainError, EulerPipeline, GasConstants
-from .mesh import (BC_KINDS, Decomposition, MeshError, PERIODIC, UniformGrid)
+from .mesh import (BC_KINDS, DIRICHLET, Decomposition, MeshError, PERIODIC,
+                   UniformGrid)
 from .mri import FastSolve, MRICoupling, evolve_two_phase
 from .newton import LinearSolveError, NewtonEngine
 from .profiling import Profile, REGIONS, Region, aggregate
@@ -74,6 +75,10 @@ class RunConfig:
             raise ConfigError(f"empty domain bounds {self.bounds}")
         if self.bc not in BC_KINDS:
             raise ConfigError(f"unknown boundary kind {self.bc!r}")
+        if self.bc == DIRICHLET:
+            raise ConfigError("bc = dirichlet negates et in the ghost cells, so "
+                              "their internal energy is negative; use "
+                              "periodic, neumann or reflect")
         if self.h_slow <= 0.0:
             raise ConfigError("h_slow must be positive")
         if not 0.0 <= self.t_transient <= self.t_final:

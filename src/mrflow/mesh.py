@@ -223,14 +223,6 @@ class ExchangeHandle:
         if poison:
             exchanger.halo.poison()
 
-    def ready(self) -> bool:
-        if self._finished:
-            raise ProtocolError("exchange handle already finished")
-        if self._ex.comm is None:
-            return True
-        return all(self._ex.comm.can_recv(self._ex.decomp.neighbors[f])
-                   for f in self._pending)
-
     def finish(self) -> HaloBuffer:
         if self._finished:
             raise ProtocolError("exchange handle finished twice")

@@ -308,7 +308,8 @@ class Communicator:
 def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
     """Run fn(comm, *args) on n_tasks in-process workers; return per-rank results.
 
-    The first worker exception aborts the group and is re-raised.
+    The first worker exception aborts the group and is re-raised. The
+    whole group shares one `timeout` deadline.
     """
     transport = ChannelTransport(n_tasks)
     results = [None] * n_tasks
@@ -326,11 +327,14 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
                for r in range(n_tasks)]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + timeout
     for t in threads:
-        t.join(timeout=timeout)
-        if t.is_alive():
-            transport.abort()
-            raise TransportError("worker group timed out")
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    alive = [r for r, t in enumerate(threads) if t.is_alive()]
+    if alive:
+        transport.abort()
+        raise TransportError(
+            f"worker group timed out after {timeout:g} s; ranks {alive} still running")
     if failures:
         rank, exc = min(failures, key=lambda f: f[0])
         if isinstance(exc, WorkerAborted) and len(failures) > 1:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from mrflow.euler import (EosDomainError, EulerPipeline, GasConstants,
-                          WENO_EPS, cfl_time_step, flux, interior_face_range,
-                          max_wave_speed, pressure, sound_speed,
-                          state_fields, weno5_face_flux, _weno5_left)
-from mrflow.mesh import PERIODIC, Decomposition, UniformGrid
+                          WENO_EPS, cfl_time_step, flux, pressure,
+                          sound_speed, state_fields, _face_flux, _weno5_left)
+from mrflow import mesh
+from mrflow.mesh import (DIRICHLET, NEUMANN, PERIODIC, REFLECT, Decomposition,
+                         UniformGrid)
 from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector
 
@@ -32,38 +33,55 @@ def test_pressure_domain_error():
     with pytest.raises(EosDomainError):
         pressure(GAS, np.array(1.0), np.array(2.0), np.array(0.0),
                  np.array(0.0), np.array(1.0))
+    # the error carries the first offending element in C order
+    et = np.full((2, 3), 5.0)
+    et[1, 0], et[1, 2] = -0.5, -2.0
+    one, zero = np.ones((2, 3)), np.zeros((2, 3))
+    with pytest.raises(EosDomainError, match="-0.5") as info:
+        pressure(GAS, one, zero, zero, zero, et)
+    assert info.value.index == (1, 0) and info.value.value == -0.5
 
 
 def test_flux_matches_direct_formulas():
     rng = np.random.default_rng(11)
-    w = np.empty((4, 7))
-    w[:, 0] = rng.uniform(0.5, 2.0, 4)
-    w[:, 1:4] = rng.standard_normal((4, 3))
-    w[:, 4] = 10.0 + rng.uniform(0, 1, 4)
-    w[:, 5:] = rng.uniform(0, 1, (4, 2))
+    w = np.empty((7, 4))
+    w[0] = rng.uniform(0.5, 2.0, 4)
+    w[1:4] = rng.standard_normal((3, 4))
+    w[4] = 10.0 + rng.uniform(0, 1, 4)
+    w[5:] = rng.uniform(0, 1, (2, 4))
+    rho, m, et = w[0], w[1:4], w[4]
+    p = 0.4 * (et - (m * m).sum(axis=0) / (2 * rho))
     for axis in range(3):
-        out = flux(GAS, w, axis)
-        rho, m, et = w[:, 0], w[:, 1:4], w[:, 4]
-        v = m[:, axis] / rho
-        p = 0.4 * (et - (m * m).sum(axis=1) / (2 * rho))
-        np.testing.assert_allclose(out[:, 0], m[:, axis], rtol=1e-15)
-        expect_m = m * v[:, None]
-        expect_m[:, axis] += p
-        np.testing.assert_allclose(out[:, 1:4], expect_m, rtol=1e-14)
-        np.testing.assert_allclose(out[:, 4], v * (et + p), rtol=1e-14)
-        np.testing.assert_allclose(out[:, 5:], w[:, 5:] * v[:, None], rtol=1e-15)
+        out = flux(GAS, w, p, axis)
+        v = m[axis] / rho
+        np.testing.assert_allclose(out[0], m[axis], rtol=1e-15)
+        expect_m = m * v
+        expect_m[axis] += p
+        np.testing.assert_allclose(out[1:4], expect_m, rtol=1e-14)
+        np.testing.assert_allclose(out[4], v * (et + p), rtol=1e-14)
+        np.testing.assert_allclose(out[5:], w[5:] * v, rtol=1e-15)
 
 
 def test_max_wave_speed():
-    w = np.zeros((1, 6, 5))
-    w[..., 0] = 1.0
-    w[..., 4] = 2.5  # p = 1, c = sqrt(1.4)
-    w[0, 3, 1] = 2.0  # one cell with v_x = 2
-    lam = max_wave_speed(GAS, w, 0)
+    # one face along x with its six stencil cells, fields first
+    w = np.zeros((5, 6))
+    w[0] = 1.0
+    w[4] = 2.5  # p = 1, c = sqrt(1.4)
+    w[1, 3] = 2.0  # one cell with v_x = 2
+    p = pressure(GAS, *w)
+    lam = np.abs(w[1] / w[0]) + sound_speed(GAS, w[0], p)
     c = np.sqrt(1.4 * 1.0)
     # fastest cell: |v|+c with its own (larger) sound speed
     p3 = 0.4 * (2.5 - 2.0)
-    assert lam[0] == pytest.approx(max(c, 2.0 + np.sqrt(1.4 * p3)), rel=1e-14)
+    fastest = max(c, 2.0 + np.sqrt(1.4 * p3))
+    assert lam.max() == pytest.approx(fastest, rel=1e-14)
+    # the face's Lax-Friedrichs speed is that maximum over its stencil
+    f = flux(GAS, w, p, 0)
+
+    def face(speeds):
+        return _face_flux(w.T, f.T, speeds[:, None], WENO_EPS)
+    np.testing.assert_array_equal(face(lam), face(np.full(6, lam.max())))
+    assert not np.array_equal(face(lam), face(np.full(6, c)))
 
 
 def _weno_left_oracle(f, eps):
@@ -100,19 +118,17 @@ def test_weno5_reproduces_constants_exactly():
 
 
 def test_face_flux_consistency_on_uniform_state():
-    w = np.zeros((3, 6, 5))
-    w[..., 0] = 1.2
-    w[..., 1] = 0.6
-    w[..., 4] = 3.0
-    lam = max_wave_speed(GAS, w, 0)
-    face = weno5_face_flux(GAS, w, lam, 0)
-    np.testing.assert_allclose(face, flux(GAS, w[:, 0], 0), rtol=1e-14)
-
-
-def test_interior_face_range():
-    assert interior_face_range(8) == (3, 6)
-    assert interior_face_range(6) == (3, 4)
-    assert interior_face_range(4) == (3, 3)
+    # three faces along x, eight extended cells, fields first
+    w = np.zeros((5, 8))
+    w[0] = 1.2
+    w[1] = 0.6
+    w[4] = 3.0
+    p = pressure(GAS, *w)
+    lam = np.abs(w[1] / w[0]) + sound_speed(GAS, w[0], p)
+    f = flux(GAS, w, p, 0)
+    face = _face_flux(w.T, f.T, lam[:, None], WENO_EPS)
+    assert face.shape == (3, 5)
+    np.testing.assert_allclose(face, f.T[:3], rtol=1e-14)
 
 
 def _state(shape, n_chem, fill):
@@ -125,9 +141,9 @@ def _state(shape, n_chem, fill):
     return ManyVector([rho, mx, my, mz, et, chem])
 
 
-def _rhs_worker(comm, shape, n_tasks, n_chem):
+def _rhs_worker(comm, shape, n_tasks, n_chem, bc):
     grid = UniformGrid(shape, ((0.0, 1.0),) * 3)
-    d = Decomposition(grid, n_tasks, comm.rank, (PERIODIC,) * 6)
+    d = Decomposition(grid, n_tasks, comm.rank, (bc,) * 6)
     (x0, x1), (y0, y1), (z0, z1) = d.extents
     x = grid.centers(0)[x0:x1, None, None]
     y = grid.centers(1)[None, y0:y1, None]
@@ -135,7 +151,7 @@ def _rhs_worker(comm, shape, n_tasks, n_chem):
     rho = 2.0 + 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.0 * z
     mx = 0.4 * rho
     my = 0.1 * np.cos(2 * np.pi * z) * np.ones_like(rho)
-    mz = np.zeros_like(rho)
+    mz = 0.05 * np.sin(2 * np.pi * y) * np.ones_like(rho)
     et = 10.0 + 0.5 * rho
     chem = np.stack([0.5 * rho] * n_chem, axis=-1) if n_chem else \
         np.zeros(rho.shape + (0,))
@@ -159,11 +175,120 @@ def _assemble(results, shape, n_chem):
 @pytest.mark.parametrize("n_tasks", [2, 4])
 def test_rhs_bitwise_decomposition_independent(n_tasks):
     shape, n_chem = (8, 6, 6), 2
-    serial = _assemble(run_spmd(1, _rhs_worker, shape, 1, n_chem), shape, n_chem)
-    multi = _assemble(run_spmd(n_tasks, _rhs_worker, shape, n_tasks, n_chem),
-                      shape, n_chem)
-    for a, b in zip(serial, multi):
-        np.testing.assert_array_equal(a, b)
+    for bc in (PERIODIC, NEUMANN, REFLECT):
+        serial = _assemble(run_spmd(1, _rhs_worker, shape, 1, n_chem, bc),
+                           shape, n_chem)
+        multi = _assemble(run_spmd(n_tasks, _rhs_worker, shape, n_tasks,
+                                   n_chem, bc), shape, n_chem)
+        for a, b in zip(serial, multi):
+            np.testing.assert_array_equal(a, b, err_msg=bc)
+
+
+def _oracle_rhs(w, bcs, spacing, cell):
+    """-div F at `cell` of the (nf, nx, ny, nz) state w, built from the
+    6-cell stencils of its six faces, assembled cell by cell with `flux`
+    and `_weno5_left`. Ghost cells mirror owned ones per axis bc; reflect
+    flips the face-perpendicular momentum."""
+    shape = w.shape[1:]
+
+    def state(idx):
+        idx, sign = list(idx), np.ones(len(w))
+        for a, n in enumerate(shape):
+            if 0 <= idx[a] < n:
+                continue
+            if bcs[a] == PERIODIC:
+                idx[a] %= n
+                continue
+            idx[a] = -1 - idx[a] if idx[a] < 0 else 2 * n - 1 - idx[a]
+            if bcs[a] == REFLECT:
+                sign[1 + a] = -1.0
+        return w[(slice(None),) + tuple(idx)] * sign
+
+    def face(axis, i):
+        """Split-flux WENO5 value at face i - 1/2 along `axis`."""
+        ws, fs, lams = [], [], []
+        for k in range(i - 3, i + 3):
+            idx = list(cell)
+            idx[axis] = k
+            c = state(idx)
+            p = pressure(GAS, *c[:5])
+            ws.append(c)
+            fs.append(flux(GAS, c, p, axis))
+            lams.append(abs(c[1 + axis] / c[0]) + sound_speed(GAS, c[0], p))
+        lam = max(lams)
+        plus = [0.5 * (f + lam * c) for f, c in zip(fs, ws)]
+        minus = [0.5 * (f - lam * c) for f, c in zip(fs, ws)]
+        return (_weno5_left(*plus[:5], WENO_EPS)
+                + _weno5_left(*minus[:0:-1], WENO_EPS))
+
+    div = None
+    for axis, h in enumerate(spacing):
+        term = (face(axis, cell[axis] + 1) - face(axis, cell[axis])) / h
+        div = term if div is None else div + term
+    return -div
+
+
+def test_rhs_matches_per_cell_stencil_oracle():
+    shape, n_chem = (8, 7, 7), 2
+    bcs = (REFLECT, PERIODIC, NEUMANN)
+    rng = np.random.default_rng(23)
+    rho = rng.uniform(0.5, 2.0, shape)
+    m = 0.5 * rng.standard_normal((3,) + shape)
+    et = (m * m).sum(axis=0) / (2 * rho) + rng.uniform(1.0, 3.0, shape)
+    chem = rng.uniform(0.0, 1.0, shape + (n_chem,))
+    w = np.concatenate([np.stack([rho, *m, et]), np.moveaxis(chem, -1, 0)])
+
+    def fn(comm):
+        grid = UniformGrid(shape, ((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)))
+        d = Decomposition(grid, 1, 0, sum(((bc, bc) for bc in bcs), ()))
+        state = ManyVector([rho.copy(), *m.copy(), et.copy(), chem.copy()])
+        out = EulerPipeline(comm, d, GAS, n_chem, debug=True)(0.0, state)
+        return grid.spacing, np.concatenate(
+            [np.stack(out.arrays[:5]), np.moveaxis(out.arrays[5], -1, 0)])
+    spacing, rhs = run_spmd(1, fn)[0]
+    # two boundary cells (low x with near-low z; high x, y wrap, high z)
+    # and one cell whose stencils stay inside the owned cells
+    for cell in [(0, 3, 1), (7, 0, 6), (4, 3, 3)]:
+        np.testing.assert_array_equal(
+            rhs[(slice(None),) + cell], _oracle_rhs(w, bcs, spacing, cell),
+            err_msg=str(cell))
+
+
+def _bad_cell_worker(comm, shape, bcs, bad):
+    d = Decomposition(UniformGrid(shape, ((0.0, 1.0),) * 3), comm.size,
+                      comm.rank, bcs)
+    state = _state(d.local_shape, 0, {"rho": 1.0, "et": 2.0})
+    if bad is not None and all(lo <= i < hi for i, (lo, hi) in zip(bad, d.extents)):
+        state.arrays[4][tuple(i - lo for i, (lo, _) in zip(bad, d.extents))] = -0.25
+    EulerPipeline(comm, d, GAS, 0)(0.0, state)
+
+
+def test_eos_error_names_rank_and_global_cell():
+    # (11, 2, 3) lies inside rank 1's x range 8..15, away from the 3-deep
+    # slabs it sends to rank 0, so only rank 1's owned pass can see it
+    with pytest.raises(EosDomainError,
+                       match=r"^rank 1: nonpositive internal energy -0\.25 "
+                             r"at global cell \(11, 2, 3\)$"):
+        run_spmd(2, _bad_cell_worker, (16, 6, 6), (PERIODIC,) * 6, (11, 2, 3))
+
+
+def test_debug_poison_catches_unfilled_ghost_slab(monkeypatch):
+    monkeypatch.setattr(mesh, "apply_boundary", lambda *args: None)
+
+    def fn(comm):
+        d = Decomposition(UniformGrid((6, 6, 6)), 1, 0, (NEUMANN,) * 6)
+        state = _state((6, 6, 6), 0, {"rho": 1.0, "et": 2.0})
+        EulerPipeline(comm, d, GAS, 0, debug=True)(0.0, state)
+    with pytest.raises(RuntimeError, match="ghost slab -x left unset"):
+        run_spmd(1, fn)
+
+
+def test_eos_error_in_ghost_slab_names_face():
+    # the odd dirichlet extension negates et, so the ghosts fail the EOS
+    with pytest.raises(EosDomainError,
+                       match=r"^rank 0: nonpositive internal energy -2 "
+                             r"at ghost slab -x$"):
+        run_spmd(1, _bad_cell_worker, (6, 6, 6), (DIRICHLET,) * 6, None)
 
 
 def test_uniform_state_has_zero_rhs():

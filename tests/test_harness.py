@@ -141,6 +141,7 @@ def test_load_config_missing_file():
     ("shape", (0, 8, 8)),
     ("bounds", ((0.0, 0.0), (0.0, 1.0), (0.0, 1.0))),
     ("bc", "slippery"),
+    ("bc", "dirichlet"),        # negated et in the ghosts fails the EOS
     ("h_slow", 0.0),
     ("t_transient", 0.3),       # exceeds t_final = 0.1
     ("fast_ratio", 0.5),
@@ -356,6 +357,14 @@ def test_cli_run_rejects_bad_task_count(tmp_path, capsys):
     ini.write_text(TINY_INI)
     assert main(["run", "--config", str(ini), "--tasks", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_rejects_dirichlet_as_config_error(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("nz = 8\n", "nz = 8\nbc = dirichlet\n"))
+    assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dirichlet" in err
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):

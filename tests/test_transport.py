@@ -1,5 +1,8 @@
 """In-process message passing: collectives, counters, failure modes."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,25 @@ def test_abort_unblocks_peers_quickly():
         comm.allreduce([1.0], "sum")
     with pytest.raises(RuntimeError, match="early exit"):
         run_spmd(2, fn, timeout=30.0)
+
+
+def test_group_timeout_is_one_shared_deadline():
+    # rank 0 finishes just inside the timeout; a join per thread would
+    # then wait another full timeout for rank 1 (about 1.9 s in all)
+    release = threading.Event()
+
+    def fn(comm):
+        if comm.rank == 0:
+            time.sleep(0.9)
+        else:
+            release.wait(30.0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(TransportError, match=r"ranks \[1\] still running"):
+            run_spmd(2, fn, timeout=1.0)
+        assert time.monotonic() - start < 1.5
+    finally:
+        release.set()
 
 
 def test_socket_worker_failure():
