@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .newton import ConvergenceFailure
-from .vectors import (clone_empty, copy_of, error_weights,
-                      fused_linear_combination, wrms_norm)
+from .vectors import error_weights, fused_linear_combination, wrms_norm
 
 SAFETY = 0.99
 MAX_GROWTH = 2.0
@@ -108,22 +107,8 @@ def sdirk4() -> ButcherTable:
     )
 
 
-TABLES = {t().name: t for t in
-          (bogacki_shampine_32, classic_rk4, knoth_wolke_3, sdirk4)}
-
-
-def _combine(base, coeffs, vecs, out):
-    """out <- base + sum coeffs[i]*vecs[i], skipping zero coefficients."""
-    cs = [1.0]
-    vs = [base]
-    for c, v in zip(coeffs, vecs):
-        if c != 0.0:
-            cs.append(c)
-            vs.append(v)
-    fused_linear_combination(cs, vs, out)
-
-
 def _weighted_sum(coeffs, vecs, out):
+    """out <- sum coeffs[i]*vecs[i], skipping zero coefficients."""
     cs = [c for c in coeffs if c != 0.0]
     vs = [v for c, v in zip(coeffs, vecs) if c != 0.0]
     if not cs:
@@ -139,16 +124,12 @@ def erk_step(f, t: float, h: float, y, table: ButcherTable, err_out=None):
     vector h*sum (b - b~)_i k_i is written there.
     """
     ks = []
-    stage = clone_empty(y)
+    stage = y.clone_empty()
     for i in range(table.stages):
-        _combine(y, [h * aij for aij in table.a[i][:i]], ks, stage)
+        _weighted_sum([1.0] + [h * aij for aij in table.a[i][:i]], [y] + ks,
+                      stage)
         ks.append(f(t + table.c[i] * h, stage))
-    out = clone_empty(y)
-    _combine(y, [h * bi for bi in table.b], ks, out)
-    if err_out is not None and table.b_embedded is not None:
-        d = [h * (bi - bt) for bi, bt in zip(table.b, table.b_embedded)]
-        _weighted_sum(d, ks, err_out)
-    return out
+    return _update(h, y, table, ks, err_out)
 
 
 def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
@@ -159,22 +140,30 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
     stage value is the predictor for the next one.
     """
     ks = []
-    z = copy_of(y)
-    a_vec = clone_empty(y)
+    z = y.copy()
+    a_vec = y.clone_empty()
     for i in range(table.stages):
-        _combine(y, [h * aij for aij in table.a[i][:i]], ks, a_vec)
+        _weighted_sum([1.0] + [h * aij for aij in table.a[i][:i]], [y] + ks,
+                      a_vec)
         aii = table.a[i][i]
         if aii == 0.0:
             ks.append(f(t + table.c[i] * h, a_vec))
             continue
         newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights)
-        k = clone_empty(y)
-        _combine(z, [-1.0], [a_vec], k)
+        k = y.clone_empty()
+        _weighted_sum([1.0, -1.0], [z, a_vec], k)
         for arr in k.arrays:
             arr /= h * aii
         ks.append(k)
-    out = clone_empty(y)
-    _combine(y, [h * bi for bi in table.b], ks, out)
+    return _update(h, y, table, ks, err_out)
+
+
+def _update(h: float, y, table: ButcherTable, ks, err_out):
+    """The new state y + h*sum b_i k_i; also the local error
+    h*sum (b_i - b~_i) k_i into err_out if given and the table has an
+    embedding."""
+    out = y.clone_empty()
+    _weighted_sum([1.0] + [h * bi for bi in table.b], [y] + ks, out)
     if err_out is not None and table.b_embedded is not None:
         d = [h * (bi - bt) for bi, bt in zip(table.b, table.b_embedded)]
         _weighted_sum(d, ks, err_out)
@@ -219,8 +208,8 @@ def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
         raise SolverError(f"table {table.name} has no error estimate")
     t = t0
     h = min(h0, h_max)
-    weights = clone_empty(y)
-    err = clone_empty(y)
+    weights = y.clone_empty()
+    err = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
     base_iters = newton.stats.iterations if newton is not None else 0
     base_steps = stats.steps   # the budget is per call, stats may be shared
@@ -278,7 +267,7 @@ def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,
     if stats is None:
         stats = IntegrationStats()
     t = t0
-    weights = clone_empty(y)
+    weights = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
     base_iters = newton.stats.iterations if newton is not None else 0
     try:

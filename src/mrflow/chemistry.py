@@ -83,16 +83,6 @@ def nondimensionalize(units: UnitSystem, rho, m, et, chem):
     return rho_n, m_n, et_n, chem_n
 
 
-def redimensionalize(units: UnitSystem, rho, m, et, chem):
-    rho_d = rho * units.density
-    m_d = [mi * units.momentum_density for mi in m]
-    et_d = et * units.energy_density
-    chem_d = chem.copy()
-    chem_d[..., :IE + 1] *= units.density
-    chem_d[..., IEG] *= units.specific_energy
-    return rho_d, m_d, et_d, chem_d
-
-
 # ---------------------------------------------------------------------------
 # initial conditions
 

@@ -243,9 +243,8 @@ def build_state(cfg: RunConfig, comm, decomp, n_tasks: int,
     n_cells = grid.n_cells
     return ManyVector(
         [rho, m[0], m[1], m[2], et, chem],
-        kinds=["rho", "mx", "my", "mz", "et", "chem"],
         global_lengths=[n_cells] * 5 + [n_cells * N_SPECIES],
-        comm=comm, fused_ops=fused, batched_reductions=fused)
+        comm=comm, batched_reductions=fused)
 
 
 def _gather_field(comm, decomp, a, tag):

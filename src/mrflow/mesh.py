@@ -155,10 +155,6 @@ class Decomposition:
             return self.rank_of(c, self.layout)
         return None
 
-    def is_physical(self, face: int) -> bool:
-        """True when this face sits on a non-periodic domain boundary."""
-        return self.neighbors[face] is None
-
 
 # ---------------------------------------------------------------------------
 # halo buffers and exchange

@@ -26,7 +26,6 @@ import numpy as np
 from .ark import (ButcherTable, IntegrationStats, SolverError,
                   _weighted_sum, adaptive_evolve, fixed_evolve, sdirk4)
 from .profiling import Region, null_profile
-from .vectors import clone_empty, copy_of, fused_linear_combination
 
 FAST_START_FRACTION = 0.01   # initial fast step = h_max / 100
 
@@ -86,17 +85,15 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
     """One slow step; returns the new state, y is untouched."""
     if fast_stats is None:
         fast_stats = IntegrationStats()
-    z = copy_of(y)
+    z = y.copy()
     slow_rhs = [slow_f(t + coupling.c[0] * h, z)]
-    forcing = clone_empty(y)
+    forcing = y.clone_empty()
     for i in range(coupling.n_intervals):
         dc = coupling.delta_c(i)
         da = coupling.delta_a(i)
         if dc == 0.0:
-            stage = clone_empty(y)
-            fused_linear_combination(
-                [1.0] + [h * d for d in da if d != 0.0],
-                [z] + [f for d, f in zip(da, slow_rhs) if d != 0.0], stage)
+            stage = y.clone_empty()
+            _weighted_sum([1.0] + [h * d for d in da], [z] + slow_rhs, stage)
             z = stage
         else:
             mri_forcing(coupling, i, slow_rhs, forcing)

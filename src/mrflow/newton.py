@@ -32,7 +32,6 @@ import numpy as np
 
 from .chemistry import SPECIES
 from .profiling import Region, null_profile
-from .vectors import subarrays
 
 DEFAULT_MAX_ITERS = 10
 DEFAULT_CONV_COEF = 0.01
@@ -163,7 +162,7 @@ class NewtonEngine:
         # one partial per task, one reduction round; summation order over
         # subvectors is pinned so reruns are bitwise stable
         s = 0.0
-        for x, w in zip(subarrays(dv), subarrays(weights)):
+        for x, w in zip(dv.arrays, weights.arrays):
             p = x * w
             s += float(np.dot(p.reshape(-1), p.reshape(-1)))
         if self.comm is not None:
@@ -191,14 +190,14 @@ class NewtonEngine:
         for k in range(1, self.max_iters + 1):
             self.stats.iterations += 1
             resid = f(t, z)
-            for g, zz, aa in zip(subarrays(resid), subarrays(z), subarrays(a)):
+            for g, zz, aa in zip(resid.arrays, z.arrays, a.arrays):
                 g *= -hg
                 g += zz
                 g -= aa
             with self.profile.region(Region.LIN_SOLVE):
                 self._solve_in_place(resid)
             self.stats.solves += 1
-            for zz, dd in zip(subarrays(z), subarrays(resid)):
+            for zz, dd in zip(z.arrays, resid.arrays):
                 zz += dd
             norm = self._wrms(resid, weights)
             if norm_prev is not None:

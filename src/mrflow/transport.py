@@ -10,6 +10,7 @@ combined in rank order 0..n-1.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import queue
 import socket
@@ -17,6 +18,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 import numpy as np
 
@@ -57,7 +59,6 @@ class ChannelTransport:
         self.size = size
         self._boxes = [[queue.Queue() for _ in range(size)] for _ in range(size)]
         self._abort = threading.Event()
-        self.counters = [TrafficCounters() for _ in range(size)]
 
     def abort(self):
         self._abort.set()
@@ -66,9 +67,6 @@ class ChannelTransport:
         if self._abort.is_set():
             raise WorkerAborted("group aborted")
         self._boxes[dst][src].put((tag, payload))
-        c = self.counters[src]
-        c.sends += 1
-        c.bytes_sent += len(payload)
 
     def recv(self, dst: int, src: int, tag, timeout: float = DEFAULT_TIMEOUT) -> bytes:
         deadline = time.monotonic() + timeout
@@ -85,11 +83,7 @@ class ChannelTransport:
                         f"recv timeout: task {dst} waiting on {src} tag={tag!r}")
         if got_tag != tag:
             raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
-        self.counters[dst].recvs += 1
         return payload
-
-    def can_recv(self, dst: int, src: int) -> bool:
-        return not self._boxes[dst][src].empty()
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +101,9 @@ class SocketEndpoint:
         self.size = size
         self._conns = conns  # peer rank -> socket
         self._boxes = [queue.Queue() for _ in range(size)]
-        self.counters = TrafficCounters()
-        self._abort = threading.Event()
-        self._pumps = []
         for peer, sock in conns.items():
-            t = threading.Thread(target=self._pump, args=(peer, sock), daemon=True)
-            t.start()
-            self._pumps.append(t)
+            threading.Thread(target=self._pump, args=(peer, sock),
+                             daemon=True).start()
 
     def _pump(self, peer, sock):
         try:
@@ -138,8 +128,6 @@ class SocketEndpoint:
         else:
             frame = _FRAME_HEADER.pack(src, len(tag_raw), len(payload)) + tag_raw + payload
             self._conns[dst].sendall(frame)
-        self.counters.sends += 1
-        self.counters.bytes_sent += len(payload)
 
     def recv(self, dst: int, src: int, tag, timeout: float = DEFAULT_TIMEOUT) -> bytes:
         assert dst == self.rank
@@ -150,11 +138,7 @@ class SocketEndpoint:
                 f"recv timeout: task {dst} waiting on {src} tag={tag!r}")
         if got_tag != str(tag):
             raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
-        self.counters.recvs += 1
         return payload
-
-    def can_recv(self, dst: int, src: int) -> bool:
-        return not self._boxes[src].empty()
 
     def close(self):
         for sock in self._conns.values():
@@ -226,7 +210,8 @@ class Communicator:
     broadcast, so every task sees bit-identical values regardless of
     transport or scheduling. Each collective call counts as exactly one
     reduction round on the attached ledger, no matter how many scalars
-    it carries.
+    it carries. counters tallies this task's messages, whatever the
+    transport.
     """
 
     def __init__(self, transport, rank: int, size: int, ledger=None):
@@ -234,23 +219,19 @@ class Communicator:
         self.rank = rank
         self.size = size
         self.ledger = ledger
+        self.counters = TrafficCounters()
         self._coll_seq = 0
 
     # point-to-point ----------------------------------------------------
     def send(self, dst: int, tag, payload: bytes):
         self.transport.send(self.rank, dst, tag, payload)
+        self.counters.sends += 1
+        self.counters.bytes_sent += len(payload)
 
     def recv(self, src: int, tag) -> bytes:
-        return self.transport.recv(self.rank, src, tag)
-
-    def can_recv(self, src: int) -> bool:
-        return self.transport.can_recv(self.rank, src)
-
-    @property
-    def counters(self) -> TrafficCounters:
-        if isinstance(self.transport, ChannelTransport):
-            return self.transport.counters[self.rank]
-        return self.transport.counters
+        payload = self.transport.recv(self.rank, src, tag)
+        self.counters.recvs += 1
+        return payload
 
     # collectives --------------------------------------------------------
     def _round(self, values: np.ndarray, combine) -> np.ndarray:
@@ -272,7 +253,7 @@ class Communicator:
             self.send(0, tag, values.tobytes())
             result = np.frombuffer(self.recv(0, tag), dtype=np.float64).reshape(values.shape)
         if self.ledger is not None:
-            self.ledger.record_round(values.size)
+            self.ledger.record_round()
         return result
 
     def allreduce(self, values, op: str = "sum") -> np.ndarray:
@@ -286,20 +267,6 @@ class Communicator:
         out = np.zeros((self.size, values.size))
         out[self.rank] = values
         return self._round(out, np.add)
-
-    def barrier(self):
-        self._coll_seq += 1
-        tag = f"bar:{self._coll_seq}"
-        if self.size == 1:
-            return
-        if self.rank == 0:
-            for r in range(1, self.size):
-                self.recv(r, tag)
-            for r in range(1, self.size):
-                self.send(r, tag, b"")
-        else:
-            self.send(0, tag, b"")
-            self.recv(0, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -343,66 +310,90 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
     return results
 
 
-def _socket_child(rank, n_tasks, port_q, map_q, result_q, fn, args):
+def _socket_child(rank, n_tasks, conn, fn, args):
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(n_tasks)
-    port_q.put((rank, listener.getsockname()))
-    port_map = map_q.get(timeout=60)
+    conn.send(listener.getsockname())
+    if not conn.poll(60):
+        raise TransportError(f"task {rank} got no port map")
+    port_map = conn.recv()
     port_map["_listener_%d" % rank] = listener
     endpoint = connect_mesh(rank, n_tasks, port_map)
     comm = Communicator(endpoint, rank, n_tasks)
     try:
         result = fn(comm, *args)
-        result_q.put((rank, True, result))
+        conn.send((True, result))
     except BaseException as exc:  # noqa: BLE001
-        result_q.put((rank, False, repr(exc)))
+        conn.send((False, repr(exc)))
     finally:
         endpoint.close()
+
+
+def _collect(conns, procs, deadline: float, what: str):
+    """Yield (rank, message) once per worker as each message arrives.
+
+    Waits on the pipes and the process sentinels together, so a worker
+    that exits before sending, or the group deadline passing, raises
+    TransportError at once.
+    """
+    pending = list(range(len(procs)))
+    while pending:
+        ready = connection.wait(
+            [conns[r] for r in pending] + [procs[r].sentinel for r in pending],
+            timeout=max(0.0, deadline - time.monotonic()))
+        if not ready:
+            raise TransportError(
+                f"socket workers {pending} did not report {what} before the deadline")
+        for r in list(pending):
+            if conns[r].poll():
+                pending.remove(r)
+                yield r, conns[r].recv()
+            elif procs[r].sentinel in ready:
+                procs[r].join(timeout=1.0)
+                raise TransportError(
+                    f"socket worker {r} exited with code {procs[r].exitcode}"
+                    f" before reporting {what}")
 
 
 def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
     """Run fn(comm, *args) on n_tasks processes wired with TCP sockets.
 
-    fn must be picklable (module-level). Results come back through a
-    queue; a worker failure raises with its repr.
+    fn must be picklable (module-level). Each worker talks to the parent
+    over its own pipe; a worker failure raises with its repr, a worker
+    that exits without reporting raises with its exit code, and the
+    whole group shares one `timeout` deadline. No worker outlives the
+    call.
     """
-    import multiprocessing as mp
-
     ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-    port_q = ctx.Queue()
-    map_qs = [ctx.Queue() for _ in range(n_tasks)]
-    result_q = ctx.Queue()
-    procs = [
-        ctx.Process(target=_socket_child,
-                    args=(r, n_tasks, port_q, map_qs[r], result_q, fn, args))
-        for r in range(n_tasks)
-    ]
+    pipes = [ctx.Pipe() for _ in range(n_tasks)]
+    conns = [parent_end for parent_end, _ in pipes]
+    procs = [ctx.Process(target=_socket_child,
+                         args=(r, n_tasks, pipes[r][1], fn, args))
+             for r in range(n_tasks)]
+    deadline = time.monotonic() + timeout
     for p in procs:
         p.start()
-    addr_map = {}
-    for _ in range(n_tasks):
-        rank, addr = port_q.get(timeout=timeout)
-        addr_map[rank] = addr
-    for q in map_qs:
-        q.put(dict(addr_map))
-    results = [None] * n_tasks
-    errors = []
-    pending = n_tasks
-    while pending and not errors:
-        rank, ok, value = result_q.get(timeout=timeout)
-        pending -= 1
-        if ok:
+    done = False
+    try:
+        addr_map = dict(_collect(conns, procs, deadline, "its address"))
+        for c in conns:
+            c.send(addr_map)
+        results = [None] * n_tasks
+        for rank, (ok, value) in _collect(conns, procs, deadline, "a result"):
+            if not ok:
+                # first failure wins; siblings blocked on it get killed below
+                raise TransportError(f"socket worker {rank} failed: {value}")
             results[rank] = value
-        else:
-            # first failure wins; siblings blocked on the dead peer get killed
-            errors.append((rank, value))
-    for p in procs:
-        p.join(timeout=1.0 if errors else 30.0)
-        if p.is_alive():
-            p.terminate()
+        done = True
+        return results
+    finally:
+        for p in procs:
+            if done:
+                p.join(timeout=30.0)
+            if p.is_alive():
+                p.terminate()
             p.join(timeout=10)
-    if errors:
-        rank, msg = errors[0]
-        raise TransportError(f"socket worker {rank} failed: {msg}")
-    return results
+        for parent_end, child_end in pipes:
+            parent_end.close()
+            child_end.close()

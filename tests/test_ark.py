@@ -4,7 +4,7 @@ and both evolve drivers (adaptive and fixed-step)."""
 import numpy as np
 import pytest
 
-from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, TABLES, ButcherTable,
+from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
                         IntegrationStats, SolverError, adaptive_evolve,
                         bogacki_shampine_32, classic_rk4, dirk_step, erk_step,
                         fixed_evolve, knoth_wolke_3, next_step_size, sdirk4)
@@ -75,12 +75,6 @@ def test_order_conditions(table):
     # the embedding is genuinely one order lower
     above = _order_condition_residuals(a, bt, c, table.embedded_order + 1)
     assert np.abs(above).max() > 1e-8
-
-
-def test_tables_registry():
-    assert set(TABLES) == {"bogacki-shampine-32", "classic-rk4",
-                           "knoth-wolke-3", "sdirk4"}
-    assert TABLES["sdirk4"]().implicit
 
 
 # ------------------------------------------------------------ erk steps

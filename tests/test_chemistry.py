@@ -12,8 +12,7 @@ from mrflow.chemistry import (EnergyBookkeeping, IE, IEG, IH, IH2, IHE, IHEP,
                               SurrogateNetwork, T_BACKGROUND, UnitSystem,
                               W_H, W_H2, W_HE, clump_table, density_field,
                               gas_energy_from_fluid, nondimensionalize,
-                              redimensionalize, species_init, sync_gas_energy,
-                              temperature_field)
+                              species_init, sync_gas_energy, temperature_field)
 from mrflow.mesh import UniformGrid
 from mrflow.vectors import ManyVector
 
@@ -49,8 +48,13 @@ def test_nondimensionalize_round_trip():
     et = 1e-10 * rng.uniform(1.0, 2.0, (4, 4, 4))
     chem = rng.uniform(1e-30, 1e-20, (4, 4, 4, N_SPECIES))
     chem[..., IEG] = rng.uniform(1e8, 1e10, (4, 4, 4))
-    back = redimensionalize(UNITS, *nondimensionalize(UNITS, rho, m, et, chem))
-    for orig, rt in zip((rho, *m, et, chem), (back[0], *back[1], *back[2:])):
+    rho_n, m_n, et_n, chem_n = nondimensionalize(UNITS, rho, m, et, chem)
+    chem_n[..., :IE + 1] *= UNITS.density
+    chem_n[..., IEG] *= UNITS.specific_energy
+    back = (rho_n * UNITS.density,
+            *[mi * UNITS.momentum_density for mi in m_n],
+            et_n * UNITS.energy_density, chem_n)
+    for orig, rt in zip((rho, *m, et, chem), back):
         assert np.all(np.abs(rt - orig) <= 2 * np.spacing(np.abs(orig)))
 
 

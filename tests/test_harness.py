@@ -197,7 +197,8 @@ def test_build_state_layout_and_determinism():
     grid = UniformGrid(cfg.shape, cfg.bounds)
     decomp = Decomposition(grid, 1, 0, (cfg.bc,) * 6)
     a = build_state(cfg, None, decomp, 1, True)
-    assert a.kinds == ["rho", "mx", "my", "mz", "et", "chem"]
+    assert a.batched_reductions
+    assert not build_state(cfg, None, decomp, 1, False).batched_reductions
     assert a.global_lengths == [512] * 5 + [512 * N_SPECIES]
     assert a.arrays[5].shape == (8, 8, 8, N_SPECIES)
     for m in a.arrays[1:4]:

@@ -76,7 +76,7 @@ def test_decomposition_neighbors():
     assert d.neighbors == (4, 4, 2, 2, 1, 1)
     d2 = Decomposition(grid, 8, 0, (NEUMANN,) * 6)
     assert d2.neighbors == (None, 4, None, 2, None, 1)
-    assert d2.is_physical(0) and not d2.is_physical(1)
+    assert d2.neighbors[0] is None and d2.neighbors[1] is not None
 
 
 def test_bc_validation():

@@ -41,11 +41,10 @@ def test_block_lu_singular_names_cell():
 def _state(shape, n_chem, comm=None, batched=True):
     n = int(np.prod(shape))
     arrays = [np.zeros(shape) for _ in range(5)] + [np.zeros(shape + (n_chem,))]
-    kinds = ["distributed"] * 5 + ["task_local"]
     size = comm.size if comm is not None else 1
     gl = [n * size] * 5 + [n * n_chem * size]
-    return ManyVector(arrays, kinds=kinds, global_lengths=gl, comm=comm,
-                      fused_ops=batched, batched_reductions=batched)
+    return ManyVector(arrays, global_lengths=gl, comm=comm,
+                      batched_reductions=batched)
 
 
 # a linear stiff term acting on two chemistry slots; exact Jacobian

@@ -1,5 +1,7 @@
 """In-process message passing: collectives, counters, failure modes."""
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -81,7 +83,6 @@ def test_threads_vs_sockets_same_values():
 def test_point_to_point_and_can_recv():
     def fn(comm):
         if comm.rank == 0:
-            assert not comm.can_recv(1)
             comm.send(1, "data", b"hello")
             return comm.recv(1, "reply")
         payload = comm.recv(0, "data")
@@ -104,7 +105,7 @@ def test_worker_exception_propagates():
     def fn(comm):
         if comm.rank == 2:
             raise ValueError("boom on rank 2")
-        comm.barrier()
+        comm.allreduce([0.0], "sum")
     with pytest.raises(ValueError, match="boom on rank 2"):
         run_spmd(3, fn)
 
@@ -146,20 +147,41 @@ def test_socket_worker_failure():
 def _failing_worker(comm):
     if comm.rank == 1:
         raise RuntimeError("child failed")
-    comm.barrier()
+    comm.allreduce([0.0], "sum")
+
+
+def _dying_worker(comm, code):
+    if comm.rank == 1:
+        os._exit(code)
+    comm.allreduce([0.0], "sum")
+
+
+@pytest.mark.parametrize("code", [7, 0])
+def test_dead_socket_worker_is_reported_quickly(code):
+    # rank 1 dies without reporting; rank 0 stays blocked in its recv
+    start = time.monotonic()
+    with pytest.raises(TransportError,
+                       match=f"worker 1 exited with code {code} before"):
+        run_spmd_sockets(2, _dying_worker, code, timeout=60.0)
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def _count_traffic(comm):
+    comm.allreduce([1.0, 2.0], "sum")
+    return comm.counters.snapshot()
 
 
 def test_traffic_counters_count_messages():
-    def fn(comm):
-        comm.allreduce([1.0, 2.0], "sum")
-        return comm.counters.snapshot()
-    counts = run_spmd(3, fn)
+    counts = run_spmd(3, _count_traffic)
     # snapshot -> (sends, recvs, bytes_sent)
     # rank 0: recv 2 parts, send 2 broadcasts; others: 1 send + 1 recv
-    assert counts[0][:2] == (2, 2)
+    assert counts[0] == (2, 2, 32)
     for sends, recvs, nbytes in counts[1:]:
         assert (sends, recvs) == (1, 1)
         assert nbytes == 16
+    # the Communicator counts, so the transport makes no difference
+    assert run_spmd_sockets(3, _count_traffic) == counts
 
 
 def test_ledger_counts_rounds_not_slots():
@@ -171,20 +193,3 @@ def test_ledger_counts_rounds_not_slots():
         comm.allreduce([2.0], "max")
         return ledger.global_reduction_count
     assert run_spmd(2, fn) == [3, 3]
-
-
-def test_barrier_orders_sides():
-    import threading
-    hits = []
-    lock = threading.Lock()
-
-    def fn(comm):
-        with lock:
-            hits.append(("pre", comm.rank))
-        comm.barrier()
-        with lock:
-            hits.append(("post", comm.rank))
-    run_spmd(4, fn)
-    first_post = min(i for i, h in enumerate(hits) if h[0] == "post")
-    assert all(h[0] == "pre" for h in hits[:first_post])
-    assert first_post == 4

@@ -5,10 +5,8 @@ import pytest
 
 from mrflow.transport import run_spmd
 from mrflow.vectors import (ManyVector, ReductionLedger, SNAPSHOT_MAGIC,
-                            copy_of, dot, error_weights,
-                            fused_linear_combination, fused_multi_dot,
-                            linear_sum, max_norm, read_snapshot, scale,
-                            wrms_norm, write_snapshot)
+                            error_weights, fused_linear_combination,
+                            read_snapshot, wrms_norm, write_snapshot)
 
 
 def mv(*arrays, **kw):
@@ -16,24 +14,27 @@ def mv(*arrays, **kw):
 
 
 def test_linear_sum_hand_value():
-    x = np.array([1.0, 2.0])
-    y = np.array([4.0, 5.0])
-    out = linear_sum(2.0, x, 3.0, y)
-    np.testing.assert_array_equal(out, [14.0, 19.0])
+    for batched in (True, False):
+        x = mv([1.0, 2.0], batched_reductions=batched)
+        y = mv([4.0, 5.0])
+        out = fused_linear_combination([2.0, 3.0], [x, y])
+        np.testing.assert_array_equal(out.arrays[0], [14.0, 19.0])
 
 
 def test_linear_sum_many_vector_and_aliasing():
-    v = mv([1.0, 2.0], [[3.0], [4.0]])
-    w = v.copy()
-    linear_sum(1.0, v, 1.0, w, out=v)
-    np.testing.assert_array_equal(v.arrays[0], [2.0, 4.0])
-    np.testing.assert_array_equal(v.arrays[1], [[6.0], [8.0]])
+    for batched in (True, False):
+        v = mv([1.0, 2.0], [[3.0], [4.0]], batched_reductions=batched)
+        w = v.copy()
+        fused_linear_combination([1.0, 1.0], [v, w], out=v)
+        np.testing.assert_array_equal(v.arrays[0], [2.0, 4.0])
+        np.testing.assert_array_equal(v.arrays[1], [[6.0], [8.0]])
 
 
 def test_scale():
-    v = mv([1.0, -2.0])
-    scale(-3.0, v, out=v)
-    np.testing.assert_array_equal(v.arrays[0], [-3.0, 6.0])
+    for batched in (True, False):
+        v = mv([1.0, -2.0], batched_reductions=batched)
+        fused_linear_combination([-3.0], [v], out=v)
+        np.testing.assert_array_equal(v.arrays[0], [-3.0, 6.0])
 
 
 def test_fused_combination_hand_value():
@@ -66,15 +67,12 @@ def test_fused_matches_unfused_bitwise():
         coeffs = list(rng.standard_normal(k))
         vecs = [mv(rng.standard_normal(17), rng.standard_normal((3, 4)))
                 for _ in range(k)]
+        unbatched = [ManyVector(v.arrays, batched_reductions=False)
+                     for v in vecs]
         fused = fused_linear_combination(coeffs, vecs)
-        # sequential reference: same left-to-right order
-        ref = copy_of(vecs[0])
-        for a in ref.arrays:
-            a *= coeffs[0]
-        for c, v in zip(coeffs[1:], vecs[1:]):
-            linear_sum(1.0, ref, c, v, out=ref)
-        for fa, ra in zip(fused.arrays, ref.arrays):
-            np.testing.assert_array_equal(fa, ra)
+        unfused = fused_linear_combination(coeffs, unbatched)
+        for fa, ua in zip(fused.arrays, unfused.arrays):
+            np.testing.assert_array_equal(fa, ua)
 
 
 def test_fused_combination_out_aliases_first_vec():
@@ -104,21 +102,8 @@ def test_wrms_homogeneity():
     x = mv(rng.standard_normal(11), rng.standard_normal(6))
     w = mv(rng.uniform(0.5, 2.0, 11), rng.uniform(0.5, 2.0, 6))
     a = wrms_norm(x, w)
-    sx = x.copy()
-    scale(-2.5, sx, out=sx)
+    sx = fused_linear_combination([-2.5], [x])
     assert wrms_norm(sx, w) == pytest.approx(2.5 * a, rel=1e-15)
-
-
-def test_dot_and_multi_dot():
-    e1 = mv([1.0, 0.0])
-    e2 = mv([0.0, 1.0])
-    np.testing.assert_array_equal(fused_multi_dot(e1, [e1, e2]), [1.0, 0.0])
-    assert dot(e1, e1) == 1.0
-
-
-def test_max_norm():
-    v = mv([0.1, -0.9], [0.5])
-    assert max_norm(v) == 0.9
 
 
 def test_error_weights():
@@ -132,9 +117,8 @@ def _dist(comm, n_sub, batched):
     arrays = [np.full(2, float(comm.rank + 1 + i)) for i in range(n_sub)]
     ledger = ReductionLedger()
     comm.ledger = ledger
-    v = ManyVector(arrays, kinds=["distributed"] * n_sub,
-                   global_lengths=[2 * comm.size] * n_sub, comm=comm,
-                   fused_ops=batched, batched_reductions=batched)
+    v = ManyVector(arrays, global_lengths=[2 * comm.size] * n_sub,
+                   comm=comm, batched_reductions=batched)
     return v, ledger
 
 
@@ -159,22 +143,11 @@ def test_unbatched_wrms_is_one_round_per_subvector():
     assert batched[0][0].hex() == unbatched[0][0].hex()
 
 
-def _multi_dot_rounds(comm):
-    v, ledger = _dist(comm, 1, True)
-    before = ledger.global_reduction_count
-    fused_multi_dot(v, [v, v, v, v])
-    return ledger.global_reduction_count - before
-
-
-def test_multi_dot_single_round():
-    assert run_spmd(3, _multi_dot_rounds) == [1, 1, 1]
-
-
 def test_global_length_in_wrms_denominator():
     # same local data, denominator must use the global length
     def fn(comm):
-        v = ManyVector([np.ones(2)], kinds=["distributed"],
-                       global_lengths=[2 * comm.size], comm=comm)
+        v = ManyVector([np.ones(2)], global_lengths=[2 * comm.size],
+                       comm=comm)
         return wrms_norm(v, v.copy())
     assert run_spmd(4, fn)[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -209,9 +182,10 @@ def test_snapshot_truncated(tmp_path):
 
 
 def test_clone_empty_preserves_structure():
-    v = mv([1.0], [[2.0, 3.0]], kinds=["task_local", "distributed"],
-           global_lengths=[1, 2])
+    v = mv([1.0], [[2.0, 3.0]], global_lengths=[1, 4],
+           batched_reductions=False)
     c = v.clone_empty()
     assert [a.shape for a in c.arrays] == [(1,), (1, 2)]
-    assert c.kinds == v.kinds and c.global_lengths == v.global_lengths
-    assert c.global_length == 3
+    assert c.global_lengths == v.global_lengths
+    assert c.global_length == 5
+    assert c.batched_reductions is False
