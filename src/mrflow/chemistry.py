@@ -110,9 +110,9 @@ def _local_centers(grid, extents):
     return np.meshgrid(*outs, indexing="ij")
 
 
-def density_field(grid, extents, clumps: np.ndarray,
-                  rho0: float = RHO_BACKGROUND) -> np.ndarray:
-    """rho0 * (1 + 5 exp(-20 r_c^2) + sum_i s_i exp(-2 (r_i/rad_i)^2))."""
+def density_field(grid, extents, clumps: np.ndarray) -> np.ndarray:
+    """rho0 * (1 + 5 exp(-20 r_c^2) + sum_i s_i exp(-2 (r_i/rad_i)^2)),
+    rho0 = RHO_BACKGROUND."""
     X, Y, Z = _local_centers(grid, extents)
     xc = [0.5 * (b[0] + b[1]) for b in grid.bounds]
     r2 = (X - xc[0]) ** 2 + (Y - xc[1]) ** 2 + (Z - xc[2]) ** 2
@@ -120,15 +120,15 @@ def density_field(grid, extents, clumps: np.ndarray,
     for cx, cy, cz, amp, rad in clumps:
         d2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
         shape += amp * np.exp(-2.0 * d2 / rad ** 2)
-    return rho0 * shape
+    return RHO_BACKGROUND * shape
 
 
-def temperature_field(grid, extents, t0: float = T_BACKGROUND) -> np.ndarray:
-    """T0 * (1 + 5 exp(-20 ||x - x_c||^2))."""
+def temperature_field(grid, extents) -> np.ndarray:
+    """T0 * (1 + 5 exp(-20 ||x - x_c||^2)), T0 = T_BACKGROUND."""
     X, Y, Z = _local_centers(grid, extents)
     xc = [0.5 * (b[0] + b[1]) for b in grid.bounds]
     r2 = (X - xc[0]) ** 2 + (Y - xc[1]) ** 2 + (Z - xc[2]) ** 2
-    return t0 * (1.0 + 5.0 * np.exp(-20.0 * r2))
+    return T_BACKGROUND * (1.0 + 5.0 * np.exp(-20.0 * r2))
 
 
 def species_init(rho: np.ndarray, temperature: np.ndarray,

@@ -150,48 +150,31 @@ def state_fields(state: ManyVector):
 
 
 class EulerPipeline:
-    """Slow right-hand side: f(t, w) = -div F(w) + G(t).
+    """Slow right-hand side: f(t, w) = -div F(w), with no source term.
 
     Owns the halo exchanger for one task. Timing lands in regions: MPI
     for transport waits, Packing for the stacking and ghost-extension
     copies, FDWENO for pointwise fluxes and reconstruction, Euler for
-    the whole divergence build, SlowRhs for the full call including
-    forcing.
+    the whole divergence build, SlowRhs for the full call.
     """
 
     def __init__(self, comm, decomp, gas: GasConstants, n_chem: int,
-                 profile=None, forcing=None, debug: bool = False,
-                 eps: float = WENO_EPS):
-        self.comm = comm
+                 profile=None, debug: bool = False):
         self.decomp = decomp
         self.gas = gas
-        self.n_chem = n_chem
-        self.n_fields = 5 + n_chem
         self.profile = profile if profile is not None else null_profile()
-        self.forcing = forcing
         self.debug = debug
-        self.eps = eps
-        self.exchanger = HaloExchanger(comm, decomp, self.n_fields)
-        self.n_calls = 0
+        self.exchanger = HaloExchanger(comm, decomp, 5 + n_chem)
 
     # one conservative-difference evaluation
-    def __call__(self, t: float, state: ManyVector, out=None) -> ManyVector:
+    def __call__(self, t: float, state: ManyVector) -> ManyVector:
         prof = self.profile
         with prof.region(Region.SLOW_RHS):
             with prof.region(Region.EULER):
                 div = self._divergence(state)
-            if out is None:
-                out = state.clone_empty()
-            for o, d in zip(out.arrays[:5], div[:5]):
+            out = state.clone_empty()
+            for o, d in zip(state_fields(out), div):
                 np.multiply(d, -1.0, out=o)
-            chem_rhs = out.arrays[5]
-            for j in range(self.n_chem):
-                np.multiply(div[5 + j], -1.0, out=chem_rhs[..., j])
-            if self.forcing is not None:
-                g = self.forcing(t)
-                for o, ga in zip(out.arrays, g.arrays):
-                    o += ga
-        self.n_calls += 1
         return out
 
     def _divergence(self, state: ManyVector):
@@ -222,7 +205,7 @@ class EulerPipeline:
                 f, lam = (_extend(*parts, axis)
                           for parts in zip(ghost[lo], inner[axis], ghost[hi]))
             with prof.region(Region.FDWENO):
-                face = _face_flux(w, f, lam, self.eps)
+                face = _face_flux(w, f, lam, WENO_EPS)
             term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
             if div is None:
                 div = term

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import math
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -29,8 +29,7 @@ from .chemistry import (EnergyBookkeeping, IEG, N_SPECIES, SurrogateNetwork,
                         UnitSystem, clump_table, density_field,
                         nondimensionalize, species_init, temperature_field)
 from .euler import EosDomainError, EulerPipeline, GasConstants
-from .mesh import (BC_KINDS, DIRICHLET, Decomposition, MeshError, PERIODIC,
-                   UniformGrid)
+from .mesh import BC_KINDS, Decomposition, MeshError, PERIODIC, UniformGrid
 from .mri import FastSolve, MRICoupling, evolve_two_phase
 from .newton import LinearSolveError, NewtonEngine
 from .profiling import Profile, REGIONS, Region, aggregate
@@ -75,10 +74,6 @@ class RunConfig:
             raise ConfigError(f"empty domain bounds {self.bounds}")
         if self.bc not in BC_KINDS:
             raise ConfigError(f"unknown boundary kind {self.bc!r}")
-        if self.bc == DIRICHLET:
-            raise ConfigError("bc = dirichlet negates et in the ghost cells, so "
-                              "their internal energy is negative; use "
-                              "periodic, neumann or reflect")
         if self.h_slow <= 0.0:
             raise ConfigError("h_slow must be positive")
         if not 0.0 <= self.t_transient <= self.t_final:
@@ -92,16 +87,38 @@ class RunConfig:
         return self
 
 
-_KNOWN_KEYS = {
-    "grid": {"nx", "ny", "nz", "x0", "x1", "y0", "y1", "z0", "z1", "bc"},
-    "time": {"t_final", "t_transient", "h_slow", "fast_ratio", "rtol", "atol"},
-    "physics": {"gamma", "reactions", "k1", "k2", "q", "seed", "n_clumps"},
-    "units": {"mass", "length", "time"},
-    "output": {"csv", "snapshot"},
+# "[section] key" -> where its value goes in RunConfig: a field name,
+# then an index into a tuple field or a UnitSystem field name
+_CONFIG_KEYS = {
+    "grid": dict(nx=("shape", 0), ny=("shape", 1), nz=("shape", 2),
+                 x0=("bounds", 0, 0), x1=("bounds", 0, 1), y0=("bounds", 1, 0),
+                 y1=("bounds", 1, 1), z0=("bounds", 2, 0), z1=("bounds", 2, 1),
+                 bc=("bc",)),
+    "time": {k: (k,) for k in ("t_final", "t_transient", "h_slow",
+                               "fast_ratio", "rtol", "atol")},
+    "physics": {k: (k,) for k in ("gamma", "reactions", "k1", "k2", "q",
+                                  "seed", "n_clumps")},
+    "units": {k: ("units", k) for k in ("mass", "length", "time")},
+    "output": {"csv": ("csv_path",), "snapshot": ("snapshot_path",)},
 }
 
 
+def _part(obj, step):
+    return obj[step] if isinstance(obj, tuple) else getattr(obj, step)
+
+
+def _with(obj, where, value):
+    """Copy of obj (a dataclass or tuple) with the part at `where` set."""
+    step, *rest = where
+    if rest:
+        value = _with(_part(obj, step), rest, value)
+    if isinstance(obj, tuple):
+        return obj[:step] + (value,) + obj[step + 1:]
+    return replace(obj, **{step: value})
+
+
 def load_config(path: str) -> RunConfig:
+    """Read an INI file; each value takes the type of its default."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
@@ -110,54 +127,23 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    cfg = RunConfig()
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(cp[section]) - _KNOWN_KEYS[section]
+        keys = _CONFIG_KEYS[section]
+        extra = set(cp[section]) - set(keys)
         if extra:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(extra))}")
-    cfg = RunConfig()
-    try:
-        g = cp["grid"] if cp.has_section("grid") else {}
-        shape = (int(g.get("nx", cfg.shape[0])),
-                 int(g.get("ny", cfg.shape[1])),
-                 int(g.get("nz", cfg.shape[2])))
-        bounds = tuple(
-            (float(g.get(f"{ax}0", cfg.bounds[i][0])),
-             float(g.get(f"{ax}1", cfg.bounds[i][1])))
-            for i, ax in enumerate("xyz"))
-        bc = g.get("bc", cfg.bc) if hasattr(g, "get") else cfg.bc
-        t = cp["time"] if cp.has_section("time") else {}
-        p = cp["physics"] if cp.has_section("physics") else {}
-        u = cp["units"] if cp.has_section("units") else {}
-        o = cp["output"] if cp.has_section("output") else {}
-        reactions = cfg.reactions
-        if "reactions" in p:
-            reactions = cp.getboolean("physics", "reactions")
-        cfg = RunConfig(
-            shape=shape, bounds=bounds, bc=bc,
-            t_final=float(t.get("t_final", cfg.t_final)),
-            t_transient=float(t.get("t_transient", cfg.t_transient)),
-            h_slow=float(t.get("h_slow", cfg.h_slow)),
-            fast_ratio=float(t.get("fast_ratio", cfg.fast_ratio)),
-            rtol=float(t.get("rtol", cfg.rtol)),
-            atol=float(t.get("atol", cfg.atol)),
-            gamma=float(p.get("gamma", cfg.gamma)),
-            reactions=reactions,
-            k1=float(p.get("k1", cfg.k1)),
-            k2=float(p.get("k2", cfg.k2)),
-            q=float(p.get("q", cfg.q)),
-            seed=int(p.get("seed", cfg.seed)),
-            n_clumps=int(p.get("n_clumps", cfg.n_clumps)),
-            units=UnitSystem(mass=float(u.get("mass", cfg.units.mass)),
-                             length=float(u.get("length", cfg.units.length)),
-                             time=float(u.get("time", cfg.units.time))),
-            csv_path=o.get("csv", ""),
-            snapshot_path=o.get("snapshot", ""),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad value in config {path}: {exc}") from exc
+        for key, raw in cp[section].items():
+            default = functools.reduce(_part, keys[key], cfg)
+            try:
+                value = (cp.getboolean(section, key)
+                         if isinstance(default, bool) else type(default)(raw))
+            except ValueError as exc:
+                raise ConfigError(f"bad value in config {path}: {exc}") from exc
+            cfg = _with(cfg, keys[key], value)
     return cfg.validate()
 
 
@@ -217,14 +203,12 @@ class ReactionRhs:
     def __init__(self, network: SurrogateNetwork, profile):
         self.network = network
         self.profile = profile
-        self.n_calls = 0
 
     def __call__(self, t, v):
         with self.profile.region(Region.FAST_RHS):
             out = v.clone_empty()
             out.fill(0.0)
             out.arrays[5][:] = self.network.rhs(v.arrays[0], v.arrays[5])
-        self.n_calls += 1
         return out
 
 
@@ -309,8 +293,7 @@ def simulation_worker(comm, cfg: RunConfig, n_tasks: int, fused: bool):
             newton = NewtonEngine(
                 lambda t, v: network.jacobian_values(v.arrays[0], v.arrays[5]),
                 network.PATTERN, nb=5 + N_SPECIES,
-                n_cells=int(np.prod(decomp.local_shape)),
-                comm=comm, profile=profile)
+                n_cells=int(np.prod(decomp.local_shape)), profile=profile)
             hooks = EnergyBookkeeping()
             coupling = MRICoupling(knoth_wolke_3())
             h_fast = cfg.h_slow / cfg.fast_ratio
@@ -355,14 +338,15 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def write_profile_csv(path: str, summary, mode: str, efficiency: float = 1.0):
+def write_profile_csv(path: str, summary, mode: str):
+    """One run's region table, with efficiency 1 (see emit_report)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in REGIONS:
             s = summary.stats[r]
             w.writerow([summary.n_tasks, r.value, _fmt(s.minimum),
-                        _fmt(s.mean), _fmt(s.maximum), _fmt(efficiency), mode])
+                        _fmt(s.mean), _fmt(s.maximum), _fmt(1.0), mode])
 
 
 def read_profile_csv(path: str):

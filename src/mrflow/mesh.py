@@ -22,10 +22,9 @@ FACE_NAMES = ("-x", "+x", "-y", "+y", "-z", "+z")
 
 PERIODIC = "periodic"
 NEUMANN = "neumann"      # homogeneous: ghost = mirror
-DIRICHLET = "dirichlet"  # homogeneous: ghost = -mirror
 REFLECT = "reflect"      # neumann, except face-perpendicular momentum flips
 
-BC_KINDS = (PERIODIC, NEUMANN, DIRICHLET, REFLECT)
+BC_KINDS = (PERIODIC, NEUMANN, REFLECT)
 
 _MSG_HEADER = struct.Struct("<BH3I")
 
@@ -271,22 +270,17 @@ class HaloExchanger:
 def apply_boundary(halo: HaloBuffer, fields, face: int, bc: str):
     """Fill one physical-face ghost slab from mirrored interior cells.
 
-    neumann: ghost = mirror; dirichlet: ghost = -mirror; reflect:
-    neumann for everything except the face-perpendicular momentum row,
-    which gets the dirichlet sign. Field order is (rho, mx, my, mz, et,
-    chem...), so the perpendicular momentum is field 1 + axis.
+    Of the three boundary kinds, periodic faces are filled by the
+    exchange; neumann: ghost = mirror; reflect: neumann for everything
+    except the face-perpendicular momentum row, whose sign flips. Field
+    order is (rho, mx, my, mz, et, chem...), so the perpendicular
+    momentum is field 1 + axis.
     """
     if bc == PERIODIC:
         raise ProtocolError("periodic faces are filled by the exchange")
-    axis, hi = face // 2, face % 2
-    n = fields[0].shape[axis]
-    sl = [slice(None)] * 3
-    sl[axis] = slice(n - HALO_DEPTH, n) if hi else slice(0, HALO_DEPTH)
-    mirror = np.stack([f[tuple(sl)] for f in fields])
-    mirror = np.flip(mirror, axis=1 + axis)
-    if bc == DIRICHLET:
-        mirror = -mirror
-    elif bc == REFLECT:
+    axis = face // 2
+    mirror = np.flip(_own_slab(fields, face), axis=1 + axis)
+    if bc == REFLECT:
         mirror[1 + axis] = -mirror[1 + axis]
     elif bc != NEUMANN:
         raise MeshError(f"unknown boundary condition {bc!r}")

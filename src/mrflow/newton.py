@@ -16,8 +16,9 @@ surrogate) is an identity row, so its value is known before the block
 solve and its term moves into the right-hand side: a block-triangular
 order with the 1 x 1 identity blocks first.
 
-Per Newton iteration there is exactly one global reduction (the WRMS
-norm of the update). Linear solves touch no communicator at all; the
+The convergence norm of each update is vectors.wrms_norm, which follows
+the vector's mode flag: one global round per iteration when batched,
+one per subvector when not. Linear solves touch no communicator; the
 iteration matrix and its factorization are reused across stages and
 steps until a convergence failure or a change in the step-times-gamma
 coefficient forces a rebuild.
@@ -25,15 +26,16 @@ coefficient forces a rebuild.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chemistry import SPECIES
+from .euler import state_fields
 from .profiling import Region, null_profile
+from .vectors import wrms_norm
 
-DEFAULT_MAX_ITERS = 10
+MAX_ITERS = 10
 DEFAULT_CONV_COEF = 0.01
 FLUID_FIELDS = ("rho", "mx", "my", "mz", "et")
 
@@ -102,11 +104,6 @@ def block_lu_solve(blocks: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.n
     return x
 
 
-def _field(v, row: int) -> np.ndarray:
-    """View of block row `row` of a fluid+chemistry vector, cell-shaped."""
-    return v.arrays[row] if row < 5 else v.arrays[5][..., row - 5]
-
-
 @dataclass
 class NewtonStats:
     iterations: int = 0
@@ -123,17 +120,15 @@ class NewtonEngine:
     last axis over the local cells. The iteration matrix I - hg*J is
     kept (with its factorization) between calls and rebuilt only when hg
     changes or reset()/a convergence failure invalidates it. Only its
-    coupled rows are stored: see the module docstring.
+    coupled rows are stored: see the module docstring. comm is not read:
+    the convergence norm reduces on the vectors' own communicator.
     """
 
     def __init__(self, jacobian, pattern, nb: int, n_cells: int, comm=None,
-                 profile=None, max_iters: int = DEFAULT_MAX_ITERS,
-                 conv_coef: float = DEFAULT_CONV_COEF):
+                 profile=None, conv_coef: float = DEFAULT_CONV_COEF):
         self.jacobian = jacobian
         self.pattern = tuple(pattern)
-        self.comm = comm
         self.profile = profile if profile is not None else null_profile()
-        self.max_iters = max_iters
         self.conv_coef = conv_coef
         self.stats = NewtonStats()
         self.n_cells = n_cells
@@ -158,17 +153,6 @@ class NewtonEngine:
         self._piv = None
         self._hg_cached = None
 
-    def _wrms(self, dv, weights) -> float:
-        # one partial per task, one reduction round; summation order over
-        # subvectors is pinned so reruns are bitwise stable
-        s = 0.0
-        for x, w in zip(dv.arrays, weights.arrays):
-            p = x * w
-            s += float(np.dot(p.reshape(-1), p.reshape(-1)))
-        if self.comm is not None:
-            s = self.comm.allreduce([s], "sum")[0]
-        return math.sqrt(s / dv.global_length)
-
     def solve(self, f, t: float, z, a, hg: float, weights):
         """Newton-iterate z in place; returns the iteration count.
 
@@ -187,7 +171,7 @@ class NewtonEngine:
 
         norm_prev = None
         rate = 1.0
-        for k in range(1, self.max_iters + 1):
+        for k in range(1, MAX_ITERS + 1):
             self.stats.iterations += 1
             resid = f(t, z)
             for g, zz, aa in zip(resid.arrays, z.arrays, a.arrays):
@@ -199,7 +183,7 @@ class NewtonEngine:
             self.stats.solves += 1
             for zz, dd in zip(z.arrays, resid.arrays):
                 zz += dd
-            norm = self._wrms(resid, weights)
+            norm = wrms_norm(resid, weights)
             if norm_prev is not None:
                 if norm > 2.0 * norm_prev:
                     break
@@ -211,21 +195,22 @@ class NewtonEngine:
         was_fresh = fresh
         self.reset()
         raise ConvergenceFailure(
-            f"no convergence in {self.max_iters} iterations", was_fresh)
+            f"no convergence in {MAX_ITERS} iterations", was_fresh)
 
     def _solve_in_place(self, v):
         """v <- (I - hg*J)^-1 (-v): identity rows are negated in place;
         known-column terms move to the right-hand side of the block."""
         for x in v.arrays:
             np.negative(x, out=x)
-        fields = [_field(v, r) for r in self._rows]
-        rhs = np.empty((self.n_cells, len(fields)))
-        for j, x in enumerate(fields):
+        fields = state_fields(v)
+        block = [fields[r] for r in self._rows]
+        rhs = np.empty((self.n_cells, len(block)))
+        for j, x in enumerate(block):
             rhs[:, j] = x.reshape(-1)
         for q, (j, c) in enumerate(self._known):
-            rhs[:, j] -= self._known_coef[:, q] * _field(v, c).reshape(-1)
+            rhs[:, j] -= self._known_coef[:, q] * fields[c].reshape(-1)
         sol = block_lu_solve(self._lu, self._piv, rhs)
-        for j, x in enumerate(fields):
+        for j, x in enumerate(block):
             x[...] = sol[:, j].reshape(x.shape)
 
     def _eval_jacobian(self, t, z):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .chemistry import IH, IH2
 from .vectors import read_snapshot
@@ -42,6 +40,7 @@ def fsum_total(array, weight: float = 1.0) -> float:
 def reference_ivp(f, y0, t_span, jac=None, stiff: bool = False,
                   rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
     """High-accuracy endpoint of y' = f(t, y) via scipy."""
+    from scipy.integrate import solve_ivp
     method = "Radau" if stiff else "DOP853"
     kwargs = {} if jac is None else {"jac": jac}
     sol = solve_ivp(f, t_span, np.asarray(y0, dtype=np.float64),
@@ -53,6 +52,7 @@ def reference_ivp(f, y0, t_span, jac=None, stiff: bool = False,
 
 def linear_exact(matrix, y0, t: float) -> np.ndarray:
     """Exact solution of y' = M y at time t."""
+    from scipy.linalg import expm
     return expm(np.asarray(matrix, dtype=np.float64) * t) @ np.asarray(y0)
 
 

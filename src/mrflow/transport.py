@@ -17,12 +17,13 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 
 import numpy as np
 
 DEFAULT_TIMEOUT = 180.0
+FAILURE_GRACE = 1.0   # s a socket worker's failure waits for a peer's exit
 
 _FRAME_HEADER = struct.Struct("<III")  # src, taglen, paylen
 
@@ -50,40 +51,49 @@ class TrafficCounters:
 
 
 # ---------------------------------------------------------------------------
+# mailboxes: one queue per (receiver, sender) pair of (tag, payload) entries
+
+def _take(box: queue.Queue, dst: int, src: int, tag) -> bytes:
+    """The next message of one mailbox, which must carry `tag`. An error
+    entry (None, exception) is raised when reached, after every message
+    queued before it, and stays in place for later calls."""
+    try:
+        got_tag, payload = box.get(timeout=DEFAULT_TIMEOUT)
+    except queue.Empty:
+        raise TransportError(
+            f"recv timeout: task {dst} waiting on {src} tag={tag!r}") from None
+    if got_tag is None:
+        box.put((None, payload))
+        raise type(payload)(*payload.args)
+    if got_tag != str(tag):
+        raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
+    return payload
+
+
+# ---------------------------------------------------------------------------
 # in-process channel transport
 
 class ChannelTransport:
     """Mailbox queues between threads of one process. boxes[dst][src]."""
 
     def __init__(self, size: int):
-        self.size = size
         self._boxes = [[queue.Queue() for _ in range(size)] for _ in range(size)]
         self._abort = threading.Event()
 
     def abort(self):
+        """Fail later sends, and each recv once its mailbox is drained."""
         self._abort.set()
+        for row in self._boxes:
+            for box in row:
+                box.put((None, WorkerAborted("group aborted")))
 
     def send(self, src: int, dst: int, tag, payload: bytes):
         if self._abort.is_set():
             raise WorkerAborted("group aborted")
-        self._boxes[dst][src].put((tag, payload))
+        self._boxes[dst][src].put((str(tag), payload))
 
-    def recv(self, dst: int, src: int, tag, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        deadline = time.monotonic() + timeout
-        box = self._boxes[dst][src]
-        while True:
-            try:
-                got_tag, payload = box.get(timeout=0.05)
-                break
-            except queue.Empty:
-                if self._abort.is_set():
-                    raise WorkerAborted("group aborted")
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        f"recv timeout: task {dst} waiting on {src} tag={tag!r}")
-        if got_tag != tag:
-            raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
-        return payload
+    def recv(self, dst: int, src: int, tag) -> bytes:
+        return _take(self._boxes[dst][src], dst, src, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +103,12 @@ class SocketEndpoint:
     """One task's end of a fully connected TCP mesh.
 
     A background thread per peer drains the socket into local queues, so
-    recv semantics match ChannelTransport exactly.
+    recv semantics match ChannelTransport exactly. When a peer's
+    connection ends, its thread queues an error entry naming that peer.
     """
 
     def __init__(self, rank: int, size: int, conns: dict):
         self.rank = rank
-        self.size = size
         self._conns = conns  # peer rank -> socket
         self._boxes = [queue.Queue() for _ in range(size)]
         for peer, sock in conns.items():
@@ -107,38 +117,30 @@ class SocketEndpoint:
 
     def _pump(self, peer, sock):
         try:
-            while True:
-                head = _read_exact(sock, _FRAME_HEADER.size)
-                if head is None:
-                    return
+            while (head := _read_exact(sock, _FRAME_HEADER.size)) is not None:
                 src, taglen, paylen = _FRAME_HEADER.unpack(head)
                 tag_raw = _read_exact(sock, taglen)
-                payload = _read_exact(sock, paylen) if paylen else b""
-                if tag_raw is None or (paylen and payload is None):
-                    return
+                payload = _read_exact(sock, paylen)
+                if tag_raw is None or payload is None:
+                    break
                 self._boxes[src].put((tag_raw.decode("utf-8"), payload))
         except OSError:
-            return
+            pass
+        self._boxes[peer].put((None, TransportError(
+            f"task {self.rank}: connection to task {peer} closed")))
 
     def send(self, src: int, dst: int, tag, payload: bytes):
         assert src == self.rank
         tag_raw = str(tag).encode("utf-8")
         if dst == self.rank:
-            self._boxes[self.rank].put((tag_raw.decode("utf-8"), payload))
+            self._boxes[self.rank].put((str(tag), payload))
         else:
             frame = _FRAME_HEADER.pack(src, len(tag_raw), len(payload)) + tag_raw + payload
             self._conns[dst].sendall(frame)
 
-    def recv(self, dst: int, src: int, tag, timeout: float = DEFAULT_TIMEOUT) -> bytes:
+    def recv(self, dst: int, src: int, tag) -> bytes:
         assert dst == self.rank
-        try:
-            got_tag, payload = self._boxes[src].get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(
-                f"recv timeout: task {dst} waiting on {src} tag={tag!r}")
-        if got_tag != str(tag):
-            raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
-        return payload
+        return _take(self._boxes[src], dst, src, tag)
 
     def close(self):
         for sock in self._conns.values():
@@ -159,14 +161,14 @@ def _read_exact(sock, n):
     return buf
 
 
-def connect_mesh(rank: int, size: int, port_map: dict) -> SocketEndpoint:
+def connect_mesh(rank: int, size: int, port_map: dict,
+                 listener: socket.socket) -> SocketEndpoint:
     """Build the all-to-all socket mesh for one task.
 
-    port_map: rank -> (host, port) of that rank's listener. Lower ranks
-    dial higher ranks; the listener side accepts and learns the caller's
-    rank from a hello frame.
+    port_map: rank -> (host, port) of each rank's listener; this task's
+    own `listener` is closed once the mesh stands. Lower ranks dial higher
+    ranks, which learn the caller's rank from a hello frame.
     """
-    listener = port_map.pop("_listener_%d" % rank)
     conns = {}
     # dial peers with larger rank
     for peer in range(rank + 1, size):
@@ -174,6 +176,7 @@ def connect_mesh(rank: int, size: int, port_map: dict) -> SocketEndpoint:
         for attempt in range(50):
             try:
                 s = socket.create_connection((host, port), timeout=10)
+                s.settimeout(None)  # the pump waits however long peers idle
                 break
             except OSError:
                 time.sleep(0.1)
@@ -209,16 +212,16 @@ class Communicator:
     Collective results are combined in rank order on task 0 and
     broadcast, so every task sees bit-identical values regardless of
     transport or scheduling. Each collective call counts as exactly one
-    reduction round on the attached ledger, no matter how many scalars
-    it carries. counters tallies this task's messages, whatever the
-    transport.
+    reduction round on the ledger a caller assigns to `ledger` (none by
+    default), no matter how many scalars it carries. counters tallies
+    this task's messages, whatever the transport.
     """
 
-    def __init__(self, transport, rank: int, size: int, ledger=None):
+    def __init__(self, transport, rank: int, size: int):
         self.transport = transport
         self.rank = rank
         self.size = size
-        self.ledger = ledger
+        self.ledger = None
         self.counters = TrafficCounters()
         self._coll_seq = 0
 
@@ -317,9 +320,7 @@ def _socket_child(rank, n_tasks, conn, fn, args):
     conn.send(listener.getsockname())
     if not conn.poll(60):
         raise TransportError(f"task {rank} got no port map")
-    port_map = conn.recv()
-    port_map["_listener_%d" % rank] = listener
-    endpoint = connect_mesh(rank, n_tasks, port_map)
+    endpoint = connect_mesh(rank, n_tasks, conn.recv(), listener)
     comm = Communicator(endpoint, rank, n_tasks)
     try:
         result = fn(comm, *args)
@@ -328,6 +329,12 @@ def _socket_child(rank, n_tasks, conn, fn, args):
         conn.send((False, repr(exc)))
     finally:
         endpoint.close()
+
+
+def _exited(procs, rank: int, what: str) -> TransportError:
+    procs[rank].join(timeout=1.0)
+    return TransportError(f"socket worker {rank} exited with code"
+                          f" {procs[rank].exitcode} before reporting {what}")
 
 
 def _collect(conns, procs, deadline: float, what: str):
@@ -350,10 +357,7 @@ def _collect(conns, procs, deadline: float, what: str):
                 pending.remove(r)
                 yield r, conns[r].recv()
             elif procs[r].sentinel in ready:
-                procs[r].join(timeout=1.0)
-                raise TransportError(
-                    f"socket worker {r} exited with code {procs[r].exitcode}"
-                    f" before reporting {what}")
+                raise _exited(procs, r, what)
 
 
 def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
@@ -379,14 +383,21 @@ def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
         addr_map = dict(_collect(conns, procs, deadline, "its address"))
         for c in conns:
             c.send(addr_map)
-        results = [None] * n_tasks
+        results = {}
         for rank, (ok, value) in _collect(conns, procs, deadline, "a result"):
             if not ok:
-                # first failure wins; siblings blocked on it get killed below
+                # a peer that exits without reporting is the likelier cause
+                # of this failure, so give its exit a moment to show
+                rest = set(range(n_tasks)) - set(results) - {rank}
+                gone = connection.wait([procs[r].sentinel for r in rest],
+                                       FAILURE_GRACE)
+                for r in rest:
+                    if procs[r].sentinel in gone and not conns[r].poll():
+                        raise _exited(procs, r, "a result")
                 raise TransportError(f"socket worker {rank} failed: {value}")
             results[rank] = value
         done = True
-        return results
+        return [results[r] for r in range(n_tasks)]
     finally:
         for p in procs:
             if done:

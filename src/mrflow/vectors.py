@@ -129,8 +129,8 @@ def wrms_norm(x: ManyVector, w: ManyVector) -> float:
     One cross-task round in batched mode; one round per subvector
     otherwise.
     """
-    partials = [float(np.sum((xa * wa) ** 2))
-                for xa, wa in zip(x.arrays, w.arrays)]
+    partials = [float(np.square(p, out=p).sum())
+                for p in map(np.multiply, x.arrays, w.arrays)]
     total = 0.0
     for t in _finalize_slots(x, partials):
         total += float(t)

@@ -139,6 +139,20 @@ def test_embedded_estimate_scales_at_embedded_order_plus_one():
     assert abs(slope - (table.embedded_order + 1)) <= 0.4
 
 
+def test_erk_embedded_error_hand_value():
+    # one Bogacki-Shampine step of y' = lam*y from y = 1, z = h*lam:
+    # h*sum (b_i - b~_i) k_i = -(z^3 + z^4) / 48
+    lam, h = -2.0, 0.25
+    z = h * lam
+    err = _scalar_state(0.0)
+    out = erk_step(_scalar_rhs(lambda t, v: lam * v), 0.0, h,
+                   _scalar_state(1.0), bogacki_shampine_32(), err_out=err)
+    assert out.arrays[0][0] == pytest.approx(1 + z + z * z / 2 + z ** 3 / 6,
+                                             rel=1e-14)
+    assert err.arrays[0][0] == pytest.approx(-(z ** 3 + z ** 4) / 48,
+                                             rel=1e-12)
+
+
 @pytest.mark.parametrize("table", [bogacki_shampine_32(), classic_rk4(),
                                    knoth_wolke_3()], ids=lambda t: t.name)
 def test_erk_observed_order_matches_nominal(table):
@@ -187,6 +201,26 @@ def test_dirk_step_zero_rhs_is_identity():
                     table, w, err_out=err)
     assert out.arrays[5][0, 0, 0, 0] == 3.0
     assert err.arrays[5][0, 0, 0, 0] == 0.0
+
+
+def test_dirk_embedded_error_hand_value():
+    # sdirk4 on y' = lam*y in one cell: the stage derivatives solve
+    # (I - z A) k = lam * 1 with z = h*lam, and the error estimate is
+    # h*sum (b_i - b~_i) k_i
+    lam, h = -2.0, 0.25
+    table = sdirk4()
+    eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
+                       nb=6, n_cells=1)
+    y = _cell_state([1.0], 1)
+    w = y.clone_empty().fill(1.0)
+    err = y.clone_empty()
+    dirk_step(_chem_rhs(lambda t, c: lam * c), eng, 0.0, h, y, table, w,
+              err_out=err)
+    a = np.array(table.a)
+    k = np.linalg.solve(np.eye(table.stages) - h * lam * a,
+                        np.full(table.stages, lam))
+    d = np.array(table.b) - np.array(table.b_embedded)
+    assert err.arrays[5][0, 0, 0, 0] == pytest.approx(h * d @ k, rel=1e-10)
 
 
 def test_dirk_stiff_relaxation_is_stable():

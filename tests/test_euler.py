@@ -8,8 +8,7 @@ from mrflow.euler import (EosDomainError, EulerPipeline, GasConstants,
                           WENO_EPS, cfl_time_step, flux, pressure,
                           sound_speed, state_fields, _face_flux, _weno5_left)
 from mrflow import mesh
-from mrflow.mesh import (DIRICHLET, NEUMANN, PERIODIC, REFLECT, Decomposition,
-                         UniformGrid)
+from mrflow.mesh import NEUMANN, PERIODIC, REFLECT, Decomposition, UniformGrid
 from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector
 
@@ -283,12 +282,19 @@ def test_debug_poison_catches_unfilled_ghost_slab(monkeypatch):
         run_spmd(1, fn)
 
 
-def test_eos_error_in_ghost_slab_names_face():
-    # the odd dirichlet extension negates et, so the ghosts fail the EOS
+def test_eos_error_in_ghost_slab_names_face(monkeypatch):
+    # a boundary fill writing the negated mirror puts et = -2 in every
+    # physical ghost slab, so the ghosts fail the EOS; -x is checked first
+    mirror = mesh.apply_boundary
+
+    def negated_mirror(halo, fields, face, bc):
+        mirror(halo, fields, face, bc)
+        np.negative(halo.slabs[face], out=halo.slabs[face])
+    monkeypatch.setattr(mesh, "apply_boundary", negated_mirror)
     with pytest.raises(EosDomainError,
                        match=r"^rank 0: nonpositive internal energy -2 "
                              r"at ghost slab -x$"):
-        run_spmd(1, _bad_cell_worker, (6, 6, 6), (DIRICHLET,) * 6, None)
+        run_spmd(1, _bad_cell_worker, (6, 6, 6), (NEUMANN,) * 6, None)
 
 
 def test_uniform_state_has_zero_rhs():

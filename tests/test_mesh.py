@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrflow.mesh import (DIRICHLET, HALO_DEPTH, NEUMANN, PERIODIC, REFLECT,
+from mrflow.mesh import (HALO_DEPTH, NEUMANN, PERIODIC, REFLECT,
                          Decomposition, HaloExchanger, MeshError, UniformGrid,
                          apply_boundary, decode_halo_message,
                          dims_create, encode_halo_message, local_extents)
@@ -198,13 +198,6 @@ def test_neumann_mirror_orientation():
     np.testing.assert_array_equal(halo.slabs[0][0, :, 0, 0], [2.0, 1.0, 0.0])
     apply_boundary(halo, fields, 1, NEUMANN)
     np.testing.assert_array_equal(halo.slabs[1][0, :, 0, 0], [5.0, 4.0, 3.0])
-
-
-def test_dirichlet_odd_extension():
-    halo = HaloBuffer((6, 6, 6), 1)
-    fields = [np.full((6, 6, 6), 7.0)]
-    apply_boundary(halo, fields, 2, DIRICHLET)
-    assert np.all(halo.slabs[2] == -7.0)
 
 
 def test_reflect_flips_perpendicular_momentum_only():

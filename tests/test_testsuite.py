@@ -2,10 +2,14 @@
 conservation totals, and snapshot comparison."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mrflow
 from mrflow.chemistry import IH, IH2, N_SPECIES
 from mrflow.testsuite import (ConservationMonitor, compare_snapshots,
                               fsum_total, l1_error, linear_exact,
@@ -130,3 +134,19 @@ def test_compare_snapshots_rejects_mismatched_layouts(tmp_path):
     write_snapshot(pc, [np.ones(5)])
     with pytest.raises(ValueError, match="shapes differ"):
         compare_snapshots(pa, pc)
+
+
+def test_every_module_imports_with_numpy_alone():
+    # scipy is needed only when reference_ivp or linear_exact is called
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import mrflow\n"
+            "for info in pkgutil.iter_modules(mrflow.__path__):\n"
+            "    importlib.import_module('mrflow.' + info.name)\n")
+    src = os.path.dirname(os.path.dirname(mrflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

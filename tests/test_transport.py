@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from mrflow.transport import (ChannelTransport, Communicator, ProtocolError,
-                              TransportError, run_spmd, run_spmd_sockets)
+                              SocketEndpoint, TransportError, WorkerAborted,
+                              connect_mesh, run_spmd, run_spmd_sockets)
 from mrflow.vectors import ReductionLedger
 
 
@@ -137,6 +139,81 @@ def test_group_timeout_is_one_shared_deadline():
         assert time.monotonic() - start < 1.5
     finally:
         release.set()
+
+
+def _recv_within(transport, dst, src, tag, seconds):
+    """What transport.recv returned or raised, or None if it was still
+    blocked after `seconds`."""
+    outcome = []
+
+    def wait():
+        try:
+            outcome.append(transport.recv(dst, src, tag))
+        except TransportError as exc:
+            outcome.append(exc)
+    threading.Thread(target=wait, daemon=True).start()
+    deadline = time.monotonic() + seconds
+    while not outcome and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return outcome[0] if outcome else None
+
+
+def test_closed_socket_peer_fails_recv_fast():
+    # no processes: two endpoints on a socketpair, one of them shut down
+    a, b = socket.socketpair()
+    survivor = SocketEndpoint(0, 2, {1: a})
+    peer = SocketEndpoint(1, 2, {0: b})
+    peer.send(1, 0, "first", b"one")
+    peer.send(1, 0, "second", b"two")
+    peer.close()
+    try:
+        # what was sent before the shutdown is still delivered, in order
+        assert survivor.recv(0, 1, "first") == b"one"
+        assert survivor.recv(0, 1, "second") == b"two"
+        start = time.monotonic()
+        got = _recv_within(survivor, 0, 1, "third", 1.0)
+        assert isinstance(got, TransportError), got
+        assert str(got) == "task 0: connection to task 1 closed"
+        assert time.monotonic() - start < 1.0
+        # and every later recv from that peer fails the same way
+        again = _recv_within(survivor, 0, 1, "fourth", 1.0)
+        assert str(again) == "task 0: connection to task 1 closed"
+    finally:
+        survivor.close()
+
+
+def test_mesh_sockets_wait_without_timeout():
+    # a dialled socket keeps its connect timeout unless it is cleared, and
+    # its pump would then end after that long without traffic
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    port_map = {r: lst.getsockname() for r, lst in enumerate(listeners)}
+    ends = {}
+    dial = threading.Thread(target=lambda: ends.update(
+        {0: connect_mesh(0, 2, port_map, listeners[0])}))
+    dial.start()
+    ends[1] = connect_mesh(1, 2, port_map, listeners[1])
+    dial.join(10.0)
+    assert not dial.is_alive()
+    try:
+        assert [s.gettimeout() for e in ends.values()
+                for s in e._conns.values()] == [None, None]
+        ends[0].send(0, 1, "ping", b"p")
+        assert ends[1].recv(1, 0, "ping") == b"p"
+    finally:
+        for e in ends.values():
+            e.close()
+
+
+def test_abort_delivers_queued_messages_first():
+    transport = ChannelTransport(2)
+    transport.send(1, 0, "queued", b"x")
+    transport.abort()
+    assert transport.recv(0, 1, "queued") == b"x"
+    for _ in range(2):
+        assert isinstance(_recv_within(transport, 0, 1, "next", 1.0),
+                          WorkerAborted)
+    with pytest.raises(WorkerAborted):
+        transport.send(0, 1, "late", b"y")
 
 
 def test_socket_worker_failure():
