@@ -56,7 +56,8 @@ class GasConstants:
         return 1.0 + self.R / self.c_v
 
     @classmethod
-    def from_gamma(cls, gamma: float, c_v: float = 1.5) -> "GasConstants":
+    def from_gamma(cls, gamma: float) -> "GasConstants":
+        c_v = 1.5
         return cls(R=(gamma - 1.0) * c_v, c_v=c_v)
 
 

@@ -1,10 +1,10 @@
 """Run configuration, the simulation driver, and the command line.
 
 `mrflow run` executes one multiphysics run across an SPMD worker group
-(threads by default, TCP processes on request), `mrflow plan` prints the
-weak-scaling ladder row for a given multiplier, and `mrflow report`
-merges per-run profile CSVs into one table with efficiencies plus a
-standalone plotting script.
+(threads by default, socket-paired processes on request), `mrflow plan`
+prints the weak-scaling ladder row for a given multiplier, and `mrflow
+report` merges per-run profile CSVs into one table with efficiencies
+plus a standalone plotting script.
 
 Exit codes: 0 success, 2 configuration problems, 3 solver or worker
 failures, 4 output I/O failures.
@@ -374,21 +374,21 @@ def emit_report(inputs, out_csv: str, plot_path: str):
     fused = [r for r in runs if r[1] == "fused"]
     reference = fused[0] if fused else runs[0]
     ref_time = _evolve_mean(reference[2])
+    effs = []
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for tasks, mode, regions in runs:
             evolve = _evolve_mean(regions)
             eff = ref_time / evolve if evolve > 0.0 else 1.0
+            effs.append((tasks, mode, eff))
             for name, (mn, mean, mx) in regions.items():
                 w.writerow([tasks, name, _fmt(mn), _fmt(mean), _fmt(mx),
                             _fmt(eff), mode])
     with open(plot_path, "w") as fh:
         fh.write(_PLOT_SCRIPT.format(csv_name=os.path.basename(out_csv),
                                      cutoff=PLOT_FILTER_FRACTION))
-    return [(tasks, mode, ref_time / _evolve_mean(regions)
-             if _evolve_mean(regions) > 0 else 1.0)
-            for tasks, mode, regions in runs]
+    return effs
 
 
 _PLOT_SCRIPT = '''\

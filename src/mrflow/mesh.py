@@ -116,7 +116,6 @@ class Decomposition:
     def __init__(self, grid: UniformGrid, n_tasks: int, rank: int, bcs):
         _check_bcs(bcs)
         self.grid = grid
-        self.n_tasks = n_tasks
         self.rank = rank
         self.bcs = tuple(bcs)
         self.layout = dims_create(n_tasks)
@@ -130,9 +129,9 @@ class Decomposition:
                 f"thinner than the {HALO_DEPTH}-cell halo")
         px, py, pz = self.layout
         self.coords = (rank // (py * pz), (rank // pz) % py, rank % pz)
-        self.axis_extents = [local_extents(grid.shape[a], self.layout[a])
-                             for a in range(3)]
-        self.extents = tuple(self.axis_extents[a][self.coords[a]] for a in range(3))
+        axis_extents = [local_extents(grid.shape[a], self.layout[a])
+                        for a in range(3)]
+        self.extents = tuple(axis_extents[a][self.coords[a]] for a in range(3))
         self.local_shape = tuple(hi - lo for lo, hi in self.extents)
         self.neighbors = tuple(self._neighbor(f) for f in range(6))
 

@@ -1,8 +1,8 @@
 """Point-to-point messaging and collectives for SPMD worker groups.
 
 Two interchangeable transports move bytes between tasks: in-process
-channel queues (the default; one Python thread per task) and TCP
-sockets between spawned processes. Both expose the same primitives, and
+channel queues (the default; one Python thread per task) and socket
+pairs between worker processes. Both expose the same primitives, and
 collectives are built on top of the point-to-point layer so reduction
 results are bit-identical across transports: partials are always
 combined in rank order 0..n-1.
@@ -25,7 +25,7 @@ import numpy as np
 DEFAULT_TIMEOUT = 180.0
 FAILURE_GRACE = 1.0   # s a socket worker's failure waits for a peer's exit
 
-_FRAME_HEADER = struct.Struct("<III")  # src, taglen, paylen
+_FRAME_HEADER = struct.Struct("<II")  # taglen, paylen
 
 
 class TransportError(RuntimeError):
@@ -100,7 +100,7 @@ class ChannelTransport:
 # socket transport (multi-process)
 
 class SocketEndpoint:
-    """One task's end of a fully connected TCP mesh.
+    """One task's ends of a fully connected mesh of stream sockets.
 
     A background thread per peer drains the socket into local queues, so
     recv semantics match ChannelTransport exactly. When a peer's
@@ -118,12 +118,12 @@ class SocketEndpoint:
     def _pump(self, peer, sock):
         try:
             while (head := _read_exact(sock, _FRAME_HEADER.size)) is not None:
-                src, taglen, paylen = _FRAME_HEADER.unpack(head)
+                taglen, paylen = _FRAME_HEADER.unpack(head)
                 tag_raw = _read_exact(sock, taglen)
                 payload = _read_exact(sock, paylen)
                 if tag_raw is None or payload is None:
                     break
-                self._boxes[src].put((tag_raw.decode("utf-8"), payload))
+                self._boxes[peer].put((tag_raw.decode("utf-8"), payload))
         except OSError:
             pass
         self._boxes[peer].put((None, TransportError(
@@ -135,7 +135,7 @@ class SocketEndpoint:
         if dst == self.rank:
             self._boxes[self.rank].put((str(tag), payload))
         else:
-            frame = _FRAME_HEADER.pack(src, len(tag_raw), len(payload)) + tag_raw + payload
+            frame = _FRAME_HEADER.pack(len(tag_raw), len(payload)) + tag_raw + payload
             self._conns[dst].sendall(frame)
 
     def recv(self, dst: int, src: int, tag) -> bytes:
@@ -159,41 +159,6 @@ def _read_exact(sock, n):
             return None
         buf += chunk
     return buf
-
-
-def connect_mesh(rank: int, size: int, port_map: dict,
-                 listener: socket.socket) -> SocketEndpoint:
-    """Build the all-to-all socket mesh for one task.
-
-    port_map: rank -> (host, port) of each rank's listener; this task's
-    own `listener` is closed once the mesh stands. Lower ranks dial higher
-    ranks, which learn the caller's rank from a hello frame.
-    """
-    conns = {}
-    # dial peers with larger rank
-    for peer in range(rank + 1, size):
-        host, port = port_map[peer]
-        for attempt in range(50):
-            try:
-                s = socket.create_connection((host, port), timeout=10)
-                s.settimeout(None)  # the pump waits however long peers idle
-                break
-            except OSError:
-                time.sleep(0.1)
-        else:
-            raise TransportError(f"task {rank} could not reach task {peer}")
-        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        s.sendall(struct.pack("<I", rank))
-        conns[peer] = s
-    # accept peers with smaller rank
-    for _ in range(rank):
-        s, _addr = listener.accept()
-        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        raw = _read_exact(s, 4)
-        peer = struct.unpack("<I", raw)[0]
-        conns[peer] = s
-    listener.close()
-    return SocketEndpoint(rank, size, conns)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +278,13 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
     return results
 
 
-def _socket_child(rank, n_tasks, conn, fn, args):
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(n_tasks)
-    conn.send(listener.getsockname())
-    if not conn.poll(60):
-        raise TransportError(f"task {rank} got no port map")
-    endpoint = connect_mesh(rank, n_tasks, conn.recv(), listener)
+def _socket_child(rank, n_tasks, conn, ends, fn, args):
+    # a copy of a peer's end held here would hide that peer's EOF if it dies
+    for r, own in enumerate(ends):
+        if r != rank:
+            for sock in own.values():
+                sock.close()
+    endpoint = SocketEndpoint(rank, n_tasks, ends[rank])
     comm = Communicator(endpoint, rank, n_tasks)
     try:
         result = fn(comm, *args)
@@ -331,13 +295,13 @@ def _socket_child(rank, n_tasks, conn, fn, args):
         endpoint.close()
 
 
-def _exited(procs, rank: int, what: str) -> TransportError:
+def _exited(procs, rank: int) -> TransportError:
     procs[rank].join(timeout=1.0)
     return TransportError(f"socket worker {rank} exited with code"
-                          f" {procs[rank].exitcode} before reporting {what}")
+                          f" {procs[rank].exitcode} before reporting a result")
 
 
-def _collect(conns, procs, deadline: float, what: str):
+def _collect(conns, procs, deadline: float):
     """Yield (rank, message) once per worker as each message arrives.
 
     Waits on the pipes and the process sentinels together, so a worker
@@ -351,40 +315,46 @@ def _collect(conns, procs, deadline: float, what: str):
             timeout=max(0.0, deadline - time.monotonic()))
         if not ready:
             raise TransportError(
-                f"socket workers {pending} did not report {what} before the deadline")
+                f"socket workers {pending} did not report a result before the deadline")
         for r in list(pending):
             if conns[r].poll():
                 pending.remove(r)
                 yield r, conns[r].recv()
             elif procs[r].sentinel in ready:
-                raise _exited(procs, r, what)
+                raise _exited(procs, r)
 
 
 def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
-    """Run fn(comm, *args) on n_tasks processes wired with TCP sockets.
+    """Run fn(comm, *args) on n_tasks worker processes wired with sockets.
 
-    fn must be picklable (module-level). Each worker talks to the parent
+    The parent makes one connected socket pair per pair of ranks before
+    it starts the workers, and each worker keeps only its own ends. fn
+    must be picklable (module-level). Each worker talks to the parent
     over its own pipe; a worker failure raises with its repr, a worker
     that exits without reporting raises with its exit code, and the
     whole group shares one `timeout` deadline. No worker outlives the
     call.
     """
     ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
+    ends = [{} for _ in range(n_tasks)]  # ends[rank][peer] -> socket
+    for a in range(n_tasks):
+        for b in range(a + 1, n_tasks):
+            ends[a][b], ends[b][a] = socket.socketpair()
     pipes = [ctx.Pipe() for _ in range(n_tasks)]
     conns = [parent_end for parent_end, _ in pipes]
     procs = [ctx.Process(target=_socket_child,
-                         args=(r, n_tasks, pipes[r][1], fn, args))
+                         args=(r, n_tasks, pipes[r][1], ends, fn, args))
              for r in range(n_tasks)]
     deadline = time.monotonic() + timeout
     for p in procs:
         p.start()
+    for own in ends:  # the workers own the ends now; see _socket_child
+        for sock in own.values():
+            sock.close()
     done = False
     try:
-        addr_map = dict(_collect(conns, procs, deadline, "its address"))
-        for c in conns:
-            c.send(addr_map)
         results = {}
-        for rank, (ok, value) in _collect(conns, procs, deadline, "a result"):
+        for rank, (ok, value) in _collect(conns, procs, deadline):
             if not ok:
                 # a peer that exits without reporting is the likelier cause
                 # of this failure, so give its exit a moment to show
@@ -393,7 +363,7 @@ def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
                                        FAILURE_GRACE)
                 for r in rest:
                     if procs[r].sentinel in gone and not conns[r].poll():
-                        raise _exited(procs, r, "a result")
+                        raise _exited(procs, r)
                 raise TransportError(f"socket worker {rank} failed: {value}")
             results[rank] = value
         done = True

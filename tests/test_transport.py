@@ -9,9 +9,10 @@ import time
 import numpy as np
 import pytest
 
+from mrflow.harness import RunConfig, simulation_worker
 from mrflow.transport import (ChannelTransport, Communicator, ProtocolError,
                               SocketEndpoint, TransportError, WorkerAborted,
-                              connect_mesh, run_spmd, run_spmd_sockets)
+                              run_spmd, run_spmd_sockets)
 from mrflow.vectors import ReductionLedger
 
 
@@ -73,13 +74,21 @@ def test_results_bit_identical_across_ranks():
     assert len({r.hex() for r in results}) == 1
 
 
+def _one_slow_step(comm, n_tasks):
+    cfg = RunConfig(shape=(9, 8, 8), t_final=0.1, t_transient=0.0,
+                    h_slow=0.1, fast_ratio=10.0)
+    info = simulation_worker(comm, cfg, n_tasks, True)
+    return info["field_sums"], info["counters"], info["reduction_rounds"]
+
+
 def test_threads_vs_sockets_same_values():
-    thread_res = run_spmd(3, _sum_worker)
-    socket_res = run_spmd_sockets(3, _sum_worker)
-    assert thread_res == socket_res
-    tg = run_spmd(3, _gather_worker)
-    sg = run_spmd_sockets(3, _gather_worker)
-    np.testing.assert_array_equal(tg[0], sg[0])
+    # 1 task has no socket pairs; 3 tasks lay out 3x1x1, so the y and z
+    # halos are exchanged with the task itself
+    for n_tasks, fn, args in [(3, _sum_worker, ()), (3, _gather_worker, ()),
+                              (1, _one_slow_step, (1,)),
+                              (3, _one_slow_step, (3,))]:
+        np.testing.assert_equal(run_spmd_sockets(n_tasks, fn, *args),
+                                run_spmd(n_tasks, fn, *args))
 
 
 def test_point_to_point_and_can_recv():
@@ -182,26 +191,43 @@ def test_closed_socket_peer_fails_recv_fast():
         survivor.close()
 
 
-def test_mesh_sockets_wait_without_timeout():
-    # a dialled socket keeps its connect timeout unless it is cleared, and
-    # its pump would then end after that long without traffic
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
-    port_map = {r: lst.getsockname() for r, lst in enumerate(listeners)}
-    ends = {}
-    dial = threading.Thread(target=lambda: ends.update(
-        {0: connect_mesh(0, 2, port_map, listeners[0])}))
-    dial.start()
-    ends[1] = connect_mesh(1, 2, port_map, listeners[1])
-    dial.join(10.0)
-    assert not dial.is_alive()
-    try:
-        assert [s.gettimeout() for e in ends.values()
-                for s in e._conns.values()] == [None, None]
-        ends[0].send(0, 1, "ping", b"p")
-        assert ends[1].recv(1, 0, "ping") == b"p"
-    finally:
-        for e in ends.values():
-            e.close()
+def _socket_inodes(pid):
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+def _report_ends(comm):
+    socks = comm.transport._conns.values()
+    own = {os.fstat(s.fileno()).st_ino for s in socks}
+    # the parent closes its copies once every worker has started
+    deadline = time.monotonic() + 5.0
+    while own & _socket_inodes(os.getppid()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    in_parent = own & _socket_inodes(os.getppid())
+    comm.allreduce([0.0], "sum")  # every worker has dropped its others' ends
+    return own, _socket_inodes("self"), in_parent, [s.gettimeout() for s in socks]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_socket_workers_hold_only_their_own_ends():
+    # an end held by anyone but its owner would keep a dead owner's
+    # connection open, so the survivors would never see its EOF
+    reports = run_spmd_sockets(3, _report_ends)
+    for rank, (own, _held, in_parent, timeouts) in enumerate(reports):
+        assert len(own) == 2
+        assert in_parent == set()
+        for other, (_own, held, _in_parent, _t) in enumerate(reports):
+            if other != rank:
+                assert own & held == set(), (rank, other)
+        # no timeout: a pump waits however long its peer stays silent
+        assert timeouts == [None, None]
 
 
 def test_abort_delivers_queued_messages_first():
