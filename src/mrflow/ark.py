@@ -1,16 +1,19 @@
 """Runge-Kutta tables, steppers, and the adaptive step driver.
 
 Explicit tables handle the advection phases, the L-stable SDIRK table
-handles the stiff reaction sub-systems. Stage values are built with the
-fused linear-combination kernel so fused and unfused runs produce
-bitwise identical states. The implicit stepper recovers stage
-derivatives algebraically from the Newton solution instead of paying an
-extra right-hand-side evaluation.
+handles the stiff reaction sub-systems. One stage loop, dirk_step, takes
+both: a stage with a zero diagonal entry is one right-hand-side
+evaluation, any other stage is a Newton solve, and erk_step is that loop
+without a Newton engine. Stage values are built with the fused
+linear-combination kernel so fused and unfused runs produce bitwise
+identical states. Implicit stages recover their derivatives
+algebraically from the Newton solution instead of paying an extra
+right-hand-side evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +44,6 @@ class ButcherTable:
     @property
     def stages(self) -> int:
         return len(self.b)
-
-    @property
-    def implicit(self) -> bool:
-        return any(self.a[i][i] != 0.0 for i in range(self.stages))
 
 
 def bogacki_shampine_32() -> ButcherTable:
@@ -123,24 +122,19 @@ def erk_step(f, t: float, h: float, y, table: ButcherTable, err_out=None):
     If err_out is given and the table has an embedding, the local error
     vector h*sum (b - b~)_i k_i is written there.
     """
-    ks = []
-    stage = y.clone_empty()
-    for i in range(table.stages):
-        _weighted_sum([1.0] + [h * aij for aij in table.a[i][:i]], [y] + ks,
-                      stage)
-        ks.append(f(t + table.c[i] * h, stage))
-    return _update(h, y, table, ks, err_out)
+    return dirk_step(f, None, t, h, y, table, None, err_out)
 
 
 def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
               weights, err_out=None):
-    """One diagonally implicit step via the Newton engine.
+    """One diagonally implicit step; y is untouched, the new state is
+    returned. newton and weights are read only by implicit stages.
 
     Stage derivatives come from k_i = (z_i - a_i)/(h*a_ii); the previous
-    stage value is the predictor for the next one.
+    implicit stage value is the predictor for the next one.
     """
     ks = []
-    z = y.copy()
+    z = None
     a_vec = y.clone_empty()
     for i in range(table.stages):
         _weighted_sum([1.0] + [h * aij for aij in table.a[i][:i]], [y] + ks,
@@ -149,6 +143,8 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
         if aii == 0.0:
             ks.append(f(t + table.c[i] * h, a_vec))
             continue
+        if z is None:
+            z = y.copy()
         newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights)
         k = y.clone_empty()
         _weighted_sum([1.0, -1.0], [z, a_vec], k)
@@ -188,7 +184,6 @@ class IntegrationStats:
     accepted: int = 0
     rejected: int = 0
     conv_failures: int = 0
-    newton_iters: int = 0
     last_h: float = 0.0
 
 
@@ -211,48 +206,43 @@ def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
     weights = y.clone_empty()
     err = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
-    base_iters = newton.stats.iterations if newton is not None else 0
     base_steps = stats.steps   # the budget is per call, stats may be shared
-    try:
-        while tf - t > tiny:
-            if stats.steps - base_steps >= max_steps:
-                raise SolverError(
-                    f"step budget of {max_steps} exhausted at t={t!r}")
-            if h < tiny:
-                raise SolverError(f"step size underflow at t={t!r}")
-            h_try = min(h, tf - t)
-            stats.steps += 1
-            error_weights(y, rtol, atol, weights)
-            try:
-                if newton is None:
-                    y_new = erk_step(f, t, h_try, y, table, err_out=err)
-                else:
-                    y_new = dirk_step(f, newton, t, h_try, y, table, weights,
-                                      err_out=err)
-            except ConvergenceFailure as exc:
-                stats.conv_failures += 1
-                if exc.jac_was_fresh:
-                    h = NEWTON_SHRINK * h_try
-                # a stale Jacobian was already dropped; retry at the same size
-                continue
-            error = wrms_norm(err, weights)
-            h_next = next_step_size(h_try, error, table.embedded_order, h_max)
-            accepted = error <= 1.0
-            if step_log is not None:
-                step_log.append((t, h_try, error, accepted))
-            if not accepted:
-                stats.rejected += 1
-                h = h_next
-                continue
-            stats.accepted += 1
-            stats.last_h = h_try
-            t += h_try
-            for dst, src in zip(y.arrays, y_new.arrays):
-                dst[:] = src
+    while tf - t > tiny:
+        if stats.steps - base_steps >= max_steps:
+            raise SolverError(
+                f"step budget of {max_steps} exhausted at t={t!r}")
+        if h < tiny:
+            raise SolverError(f"step size underflow at t={t!r}")
+        h_try = min(h, tf - t)
+        stats.steps += 1
+        error_weights(y, rtol, atol, weights)
+        try:
+            if newton is None:
+                y_new = erk_step(f, t, h_try, y, table, err_out=err)
+            else:
+                y_new = dirk_step(f, newton, t, h_try, y, table, weights,
+                                  err_out=err)
+        except ConvergenceFailure as exc:
+            stats.conv_failures += 1
+            if exc.jac_was_fresh:
+                h = NEWTON_SHRINK * h_try
+            # a stale Jacobian was already dropped; retry at the same size
+            continue
+        error = wrms_norm(err, weights)
+        h_next = next_step_size(h_try, error, table.embedded_order, h_max)
+        accepted = error <= 1.0
+        if step_log is not None:
+            step_log.append((t, h_try, error, accepted))
+        if not accepted:
+            stats.rejected += 1
             h = h_next
-    finally:
-        if newton is not None:
-            stats.newton_iters += newton.stats.iterations - base_iters
+            continue
+        stats.accepted += 1
+        stats.last_h = h_try
+        t += h_try
+        for dst, src in zip(y.arrays, y_new.arrays):
+            dst[:] = src
+        h = h_next
     return y, stats
 
 
@@ -269,28 +259,23 @@ def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,
     t = t0
     weights = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
-    base_iters = newton.stats.iterations if newton is not None else 0
-    try:
-        while tf - t > tiny:
-            h_try = min(h, tf - t)
-            error_weights(y, rtol, atol, weights)
-            try:
-                if newton is None:
-                    y_new = erk_step(f, t, h_try, y, table)
-                else:
-                    y_new = dirk_step(f, newton, t, h_try, y, table, weights)
-            except ConvergenceFailure as exc:
-                stats.conv_failures += 1
-                raise SolverError(
-                    f"Newton failed at t={t!r} with fixed step {h_try!r}"
-                ) from exc
-            stats.steps += 1
-            stats.accepted += 1
-            stats.last_h = h_try
-            t += h_try
-            for dst, src in zip(y.arrays, y_new.arrays):
-                dst[:] = src
-    finally:
-        if newton is not None:
-            stats.newton_iters += newton.stats.iterations - base_iters
+    while tf - t > tiny:
+        h_try = min(h, tf - t)
+        error_weights(y, rtol, atol, weights)
+        try:
+            if newton is None:
+                y_new = erk_step(f, t, h_try, y, table)
+            else:
+                y_new = dirk_step(f, newton, t, h_try, y, table, weights)
+        except ConvergenceFailure as exc:
+            stats.conv_failures += 1
+            raise SolverError(
+                f"Newton failed at t={t!r} with fixed step {h_try!r}"
+            ) from exc
+        stats.steps += 1
+        stats.accepted += 1
+        stats.last_h = h_try
+        t += h_try
+        for dst, src in zip(y.arrays, y_new.arrays):
+            dst[:] = src
     return y, stats

@@ -463,8 +463,6 @@ def _cmd_run(args) -> int:
     if args.snapshot:
         cfg = replace(cfg, snapshot_path=args.snapshot)
     n_tasks = args.tasks
-    if n_tasks is None:
-        n_tasks = int(os.environ.get("MRFLOW_TASKS", "1"))
     if n_tasks < 1:
         raise ConfigError(f"task count must be positive, got {n_tasks}")
     runner = run_spmd_sockets if args.transport == "sockets" else run_spmd
@@ -512,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one simulation")
     run_p.add_argument("--config", required=True, help="INI config file")
-    run_p.add_argument("--tasks", type=int, default=None,
-                       help="worker count (default: $MRFLOW_TASKS or 1)")
+    run_p.add_argument("--tasks", type=int, default=1,
+                       help="worker count (default: 1)")
     run_p.add_argument("--unfused", action="store_true",
                        help="binary vector kernels and one reduction per slot")
     run_p.add_argument("--plan", type=int, default=None, metavar="N",
@@ -551,7 +549,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mrflow: i/o error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

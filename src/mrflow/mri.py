@@ -57,7 +57,6 @@ class MRICoupling:
         if any(c[i + 1] < c[i] for i in range(s)):
             raise CouplingError("outer abscissae must be non-decreasing")
         rows = [tuple(slow_table.a[i]) for i in range(s)] + [tuple(slow_table.b)]
-        self.table = slow_table
         self.c = tuple(c)
         self.rows = tuple(rows)
         self.n_intervals = s

@@ -9,7 +9,10 @@ and splits the rows of I - hg*J in two:
                  the vector's arrays;
   coupled rows   one small m x m block per cell (3 x 3 for the surrogate
                  network), assembled straight from the pattern values and
-                 factored by partially pivoted LU batched over cells.
+                 factored by partially pivoted LU batched over cells. The
+                 factorization composes its pivot swaps into one row
+                 permutation per cell, so a solve gathers the right-hand
+                 side once instead of replaying the swaps.
 
 A pattern column outside the coupled rows (the density for the
 surrogate) is an identity row, so its value is known before the block
@@ -62,40 +65,37 @@ class ConvergenceFailure(Exception):
 def block_lu_factor(blocks: np.ndarray) -> np.ndarray:
     """In-place LU with partial pivoting, batched over the leading axis.
 
-    Returns the pivot rows (n_cells, nb). Raises LinearSolveError naming
+    Returns the row permutation (n_cells, nb): row i of each factored
+    block is row perm[i] of the original. Raises LinearSolveError naming
     the first offending cell if any block is singular.
     """
     n_cells, nb, _ = blocks.shape
-    piv = np.empty((n_cells, nb), dtype=np.int64)
+    perm = np.tile(np.arange(nb), (n_cells, 1))
     cells = np.arange(n_cells)
     for k in range(nb):
         p = k + np.abs(blocks[:, k:, k]).argmax(axis=1)
-        piv[:, k] = p
         pivots = blocks[cells, p, k]
         if np.any(pivots == 0.0):
             bad = int(np.flatnonzero(pivots == 0.0)[0])
             raise LinearSolveError(
                 f"singular {nb}x{nb} block in cell {bad} (pivot column {k})",
                 cell=bad, column=k)
-        tmp = blocks[cells, k, :].copy()
-        blocks[cells, k, :] = blocks[cells, p, :]
-        blocks[cells, p, :] = tmp
+        # swap rows k and p of every block and its permutation; row k is
+        # a plain view, which is cheaper than gathering it per cell
+        row, slot = blocks[:, k, :].copy(), perm[:, k].copy()
+        blocks[:, k, :], perm[:, k] = blocks[cells, p, :], perm[cells, p]
+        blocks[cells, p, :], perm[cells, p] = row, slot
         blocks[:, k + 1:, k] /= blocks[:, k:k + 1, k]
         blocks[:, k + 1:, k + 1:] -= (blocks[:, k + 1:, k:k + 1]
                                       * blocks[:, k:k + 1, k + 1:])
-    return piv
+    return perm
 
 
-def block_lu_solve(blocks: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve factored blocks against rhs (n_cells, nb). Purely local."""
-    n_cells, nb, _ = blocks.shape
-    cells = np.arange(n_cells)
-    x = rhs.copy()
-    for k in range(nb):
-        p = piv[:, k]
-        xk = x[cells, k].copy()
-        x[cells, k] = x[cells, p]
-        x[cells, p] = xk
+def block_lu_solve(blocks: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve factored blocks against rhs (n_cells, nb), given the row
+    permutation block_lu_factor returned. Purely local."""
+    nb = blocks.shape[1]
+    x = np.take_along_axis(rhs, perm, axis=1)
     for i in range(1, nb):
         x[:, i] -= (blocks[:, i, :i] * x[:, :i]).sum(axis=1)
     for i in range(nb - 1, -1, -1):
@@ -143,14 +143,14 @@ class NewtonEngine:
         self._known_coef = None
         self._jac_values = None
         self._lu = None
-        self._piv = None
+        self._perm = None
         self._hg_cached = None
 
     def reset(self):
         """Drop the cached Jacobian and factorization."""
         self._jac_values = None
         self._lu = None
-        self._piv = None
+        self._perm = None
         self._hg_cached = None
 
     def solve(self, f, t: float, z, a, hg: float, weights):
@@ -209,7 +209,7 @@ class NewtonEngine:
             rhs[:, j] = x.reshape(-1)
         for q, (j, c) in enumerate(self._known):
             rhs[:, j] -= self._known_coef[:, q] * fields[c].reshape(-1)
-        sol = block_lu_solve(self._lu, self._piv, rhs)
+        sol = block_lu_solve(self._lu, self._perm, rhs)
         for j, x in enumerate(block):
             x[...] = sol[:, j].reshape(x.shape)
 
@@ -234,13 +234,13 @@ class NewtonEngine:
                     known[:, slot[(i, c)]] += -hg * vals[:, k]
             lu[:, range(m), range(m)] += 1.0
             try:
-                piv = block_lu_factor(lu)
+                perm = block_lu_factor(lu)
             except LinearSolveError as err:
                 row = self._rows[err.column]
                 raise LinearSolveError(
                     f"singular Newton block in local cell {err.cell}: zero"
                     f" pivot for field {(FLUID_FIELDS + SPECIES)[row]}",
                     cell=err.cell, column=row) from err
-        self._lu, self._piv, self._known_coef = lu, piv, known
+        self._lu, self._perm, self._known_coef = lu, perm, known
         self._hg_cached = hg
         self.stats.factorizations += 1

@@ -72,9 +72,6 @@ class Profile:
         finally:
             self.seconds[region] += time.perf_counter() - t0
 
-    def add(self, region: Region, seconds: float):
-        self.seconds[region] += seconds
-
     def as_array(self):
         import numpy as np
         return np.array([self.seconds[r] for r in REGIONS])

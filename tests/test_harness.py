@@ -2,12 +2,16 @@
 profile CSV plumbing, the report pipeline, and the command line."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mrflow
 from mrflow.chemistry import IEG, N_SPECIES
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             RunConfig, _global_mean_eg, apply_plan,
@@ -260,10 +264,10 @@ def test_global_mean_eg_is_layout_independent():
 
 def _summary(transient=0.5, fixed=1.5, extra=()):
     p = Profile()
-    p.add(Region.TRANSIENT, transient)
-    p.add(Region.FIXED_STEP, fixed)
+    p.seconds[Region.TRANSIENT] += transient
+    p.seconds[Region.FIXED_STEP] += fixed
     for r, s in extra:
-        p.add(r, s)
+        p.seconds[r] += s
     return aggregate(None, p, n_slow_steps=10)
 
 
@@ -294,8 +298,8 @@ def test_emit_report_recomputes_efficiency(tmp_path):
     inputs = []
     for (tasks, mode), secs in times.items():
         p = Profile()
-        p.add(Region.TRANSIENT, 0.25 * secs)
-        p.add(Region.FIXED_STEP, 0.75 * secs)
+        p.seconds[Region.TRANSIENT] += 0.25 * secs
+        p.seconds[Region.FIXED_STEP] += 0.75 * secs
         s = aggregate(None, p, 10)
         s.n_tasks = tasks
         path = str(tmp_path / f"{mode}-{tasks}.csv")
@@ -332,6 +336,18 @@ def test_cli_plan_prints_ladder_row(capsys):
     assert "unknowns=150000000" in out
     assert "h_slow=1/20" in out
     assert "slow_steps=10" in out
+
+
+def test_python_dash_m_mrflow_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(mrflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "mrflow", "plan", "--n", "1"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "n=1" in run.stdout
 
 
 def test_cli_run_smoke(tmp_path, capsys):

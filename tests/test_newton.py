@@ -30,6 +30,16 @@ def test_block_lu_pivoting_handles_zero_diagonal():
     np.testing.assert_allclose(x, [[3.0, 2.0]], rtol=1e-15)
 
 
+def test_block_lu_returns_composed_row_permutation():
+    # column 0 pivots on row 2, column 1 on the original row 0
+    blocks = np.array([[[1.0, 2.0, 0.0], [0.0, 1.0, 5.0], [3.0, 1.0, 1.0]]])
+    perm = block_lu_factor(blocks)
+    np.testing.assert_array_equal(perm, [[2, 0, 1]])
+    x = block_lu_solve(blocks, perm, np.array([[1.0, 2.0, 3.0]]))
+    np.testing.assert_allclose(x, np.array([[11.0, 1.0, 5.0]]) / 13.0,
+                               rtol=1e-15)
+
+
 def test_block_lu_singular_names_cell():
     rng = np.random.default_rng(9)
     blocks = rng.standard_normal((5, 2, 2)) + 3.0 * np.eye(2)

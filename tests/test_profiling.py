@@ -48,13 +48,6 @@ def test_scope_survives_exceptions():
     assert p.seconds[Region.TOTAL] >= 0.009
 
 
-def test_add_injects_synthetic_time():
-    p = Profile()
-    p.add(Region.MPI, 1.5)
-    p.add(Region.MPI, 0.5)
-    assert p.seconds[Region.MPI] == 2.0
-
-
 def test_null_profile_records_nothing():
     p = null_profile()
     assert not p.enabled
@@ -65,7 +58,7 @@ def test_null_profile_records_nothing():
 
 def test_as_array_follows_region_order():
     p = Profile()
-    p.add(Region.PACKING, 3.0)
+    p.seconds[Region.PACKING] += 3.0
     arr = p.as_array()
     assert arr.shape == (len(REGIONS),)
     assert arr[REGIONS.index(Region.PACKING)] == 3.0
@@ -74,7 +67,7 @@ def test_as_array_follows_region_order():
 
 def test_aggregate_serial_collapses_to_local():
     p = Profile()
-    p.add(Region.EULER, 2.25)
+    p.seconds[Region.EULER] += 2.25
     s = aggregate(None, p, n_slow_steps=5)
     assert s.n_tasks == 1
     assert s.n_slow_steps == 5
@@ -86,8 +79,8 @@ def _aggregate_worker(comm):
     ledger = ReductionLedger()
     comm.ledger = ledger
     p = Profile()
-    p.add(Region.EULER, float(comm.rank + 1))
-    p.add(Region.TRANSIENT, 1.0)
+    p.seconds[Region.EULER] += float(comm.rank + 1)
+    p.seconds[Region.TRANSIENT] += 1.0
     s = aggregate(comm, p, n_slow_steps=2)
     st = s.stats[Region.EULER]
     return (st.minimum, st.mean, st.maximum, s.n_tasks,
@@ -107,12 +100,12 @@ def test_aggregate_across_tasks_in_one_round():
 
 def test_time_per_slow_step_and_efficiency():
     fast = Profile()
-    fast.add(Region.TRANSIENT, 0.2)
-    fast.add(Region.FIXED_STEP, 0.4)
+    fast.seconds[Region.TRANSIENT] += 0.2
+    fast.seconds[Region.FIXED_STEP] += 0.4
     ref = aggregate(None, fast, n_slow_steps=4)      # 0.15 s/step
     slow = Profile()
-    slow.add(Region.TRANSIENT, 0.3)
-    slow.add(Region.FIXED_STEP, 0.9)
+    slow.seconds[Region.TRANSIENT] += 0.3
+    slow.seconds[Region.FIXED_STEP] += 0.9
     run = aggregate(None, slow, n_slow_steps=4)      # 0.30 s/step
     assert ref.time_per_slow_step() == pytest.approx(0.15)
     assert run.time_per_slow_step() == pytest.approx(0.30)
@@ -128,14 +121,14 @@ def test_time_per_slow_step_handles_empty_run():
 
 def test_sundials_time_formula():
     p = Profile()
-    p.add(Region.TRANSIENT, 2.0)
-    p.add(Region.FIXED_STEP, 1.0)
-    p.add(Region.SLOW_RHS, 0.5)
-    p.add(Region.FAST_RHS, 0.25)
-    p.add(Region.FAST_JAC, 0.1)
-    p.add(Region.LIN_SETUP, 0.05)
-    p.add(Region.LIN_SOLVE, 0.05)
-    p.add(Region.SETUP, 9.0)   # outside the evolution phases: ignored
+    p.seconds[Region.TRANSIENT] += 2.0
+    p.seconds[Region.FIXED_STEP] += 1.0
+    p.seconds[Region.SLOW_RHS] += 0.5
+    p.seconds[Region.FAST_RHS] += 0.25
+    p.seconds[Region.FAST_JAC] += 0.1
+    p.seconds[Region.LIN_SETUP] += 0.05
+    p.seconds[Region.LIN_SOLVE] += 0.05
+    p.seconds[Region.SETUP] += 9.0   # outside the evolution phases: ignored
     assert sundials_time(p.seconds) == pytest.approx(3.0 - 0.95)
 
 
