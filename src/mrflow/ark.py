@@ -254,6 +254,8 @@ def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,
     A Newton convergence failure is fatal here: fixed mode has no step
     size to cut.
     """
+    if not (np.isfinite(h) and h > 0.0):
+        raise SolverError(f"fixed step must be positive and finite, got {h!r}")
     if stats is None:
         stats = IntegrationStats()
     t = t0

@@ -3,16 +3,16 @@
 State fields, in canonical order: rho, mx, my, mz, et, then n_c advected
 chemical fields. Face fluxes are built from point values with local
 Lax-Friedrichs splitting, component-wise WENO5 reconstruction, and a
-conservative difference. Pressure, flux and wave speed are pointwise, so
-each is computed once per cell (and axis), and the reconstruction reads
-the six stencil positions as shifted views of ghost-extended arrays.
-Each right-hand-side evaluation overlaps halo traffic with owned work:
+conservative difference. Each right-hand-side evaluation works on one
+ghost-extended array per axis (see mesh.extended_arrays), allocated
+once per pipeline:
 
-  begin exchange -> owned pointwise quantities -> finish exchange ->
-  ghost pointwise quantities -> reconstruct faces -> divergence
+  extend (copy the owned fields in) -> exchange (fill the ghosts) ->
+  per axis: pointwise pressure, flux and wave speed -> reconstruct
+  faces -> difference
 
-The owned pass reads owned cells only and never touches ghost storage,
-which is what makes the overlap legal.
+The reconstruction reads the six stencil positions as shifted views of
+the extended array.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FACE_NAMES, HaloExchanger
+from .mesh import FACE_NAMES, HALO_DEPTH, HaloExchanger, extend, extended_arrays
 from .profiling import Region, null_profile
 from .vectors import ManyVector
 
@@ -133,12 +133,6 @@ def _face_flux(w, f, lam, eps):
     return _weno5_left(*plus, eps) + _weno5_left(*minus, eps)
 
 
-def _extend(lo, owned, hi, axis):
-    """Ghost, owned and ghost cells joined along array axis 1 + axis,
-    with that axis moved first."""
-    return np.concatenate([np.moveaxis(a, 1 + axis, 0) for a in (lo, owned, hi)])
-
-
 # ---------------------------------------------------------------------------
 # right-hand side pipeline
 
@@ -153,10 +147,11 @@ def state_fields(state: ManyVector):
 class EulerPipeline:
     """Slow right-hand side: f(t, w) = -div F(w), with no source term.
 
-    Owns the halo exchanger for one task. Timing lands in regions: MPI
-    for transport waits, Packing for the stacking and ghost-extension
-    copies, FDWENO for pointwise fluxes and reconstruction, Euler for
-    the whole divergence build, SlowRhs for the full call.
+    Owns the halo exchanger and the extended arrays for one task. Timing
+    lands in regions: MPI for the halo exchange, Packing for copying the
+    owned fields into the extended arrays, FDWENO for pointwise fluxes
+    and reconstruction, Euler for the whole divergence build, SlowRhs
+    for the full call.
     """
 
     def __init__(self, comm, decomp, gas: GasConstants, n_chem: int,
@@ -166,6 +161,7 @@ class EulerPipeline:
         self.profile = profile if profile is not None else null_profile()
         self.debug = debug
         self.exchanger = HaloExchanger(comm, decomp, 5 + n_chem)
+        self.ext = extended_arrays(decomp.local_shape, 5 + n_chem)
 
     # one conservative-difference evaluation
     def __call__(self, t: float, state: ManyVector) -> ManyVector:
@@ -180,59 +176,42 @@ class EulerPipeline:
 
     def _divergence(self, state: ManyVector):
         prof = self.profile
-        fields = state_fields(state)
-        with prof.region(Region.MPI):
-            handle = self.exchanger.begin(fields, poison=self.debug)
         with prof.region(Region.PACKING):
-            owned = np.stack(fields)
-        with prof.region(Region.FDWENO):
-            inner = self._pointwise(owned, range(3))
+            extend(state_fields(state), self.ext)
         with prof.region(Region.MPI):
-            slabs = handle.finish().slabs
-        if self.debug:
-            for face, slab in enumerate(slabs):
-                if np.any(np.isnan(slab)):
-                    raise RuntimeError(
-                        f"ghost slab {FACE_NAMES[face]} left unset by the exchange")
-        with prof.region(Region.FDWENO):
-            ghost = [self._pointwise(slab, (face // 2,), face)[0]
-                     for face, slab in enumerate(slabs)]
+            self.exchanger.begin(self.ext, poison=self.debug).finish()
         # conservative difference, axis terms accumulated in x, y, z order
         div = None
-        for axis, h in enumerate(self.decomp.grid.spacing):
-            lo, hi = 2 * axis, 2 * axis + 1
-            with prof.region(Region.PACKING):
-                w = _extend(slabs[lo], owned, slabs[hi], axis)
-                f, lam = (_extend(*parts, axis)
-                          for parts in zip(ghost[lo], inner[axis], ghost[hi]))
+        for axis, (w, h) in enumerate(zip(self.ext, self.decomp.grid.spacing)):
             with prof.region(Region.FDWENO):
-                face = _face_flux(w, f, lam, WENO_EPS)
+                face = _face_flux(w, *self._pointwise(w, axis), WENO_EPS)
             term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
-            if div is None:
-                div = term
-            else:
-                div += term
+            div = term if div is None else div + term
         return div
 
-    def _pointwise(self, w, axes, face=None):
-        """[(flux, |v_axis| + c)] of the (nf, ...) states w for each axis in
-        `axes`; the wave speed keeps a unit field axis. w holds the owned
-        cells, or the ghost slab of `face`; a failed equation-of-state
-        check names the rank and the global cell or the face."""
-        rho = w[IRHO]
+    def _pointwise(self, w, axis):
+        """Flux along `axis` and |v_axis| + c (with a unit field axis) of
+        the extended states w. A failed equation-of-state check names the
+        rank and the global cell, or the ghost slab if no owned cell fails."""
+        fields = w.swapaxes(0, 1)
+        rho = fields[IRHO]
         try:
-            p = pressure(self.gas, *w[:ICHEM])
+            p = pressure(self.gas, *fields[:ICHEM])
         except EosDomainError as exc:
-            if face is None:
+            try:
+                pressure(self.gas, *fields[:ICHEM, HALO_DEPTH:-HALO_DEPTH])
+                where = "ghost slab " + FACE_NAMES[
+                    2 * axis + (exc.index[0] >= HALO_DEPTH)]
+            except EosDomainError as own:
+                exc, index = own, list(own.index[1:])
+                index.insert(axis, own.index[0])    # back to (x, y, z) order
                 where = "global cell " + str(tuple(
-                    lo + int(i) for (lo, _), i in zip(self.decomp.extents, exc.index)))
-            else:
-                where = f"ghost slab {FACE_NAMES[face]}"
+                    lo + int(i) for (lo, _), i in zip(self.decomp.extents, index)))
             raise EosDomainError(f"rank {self.decomp.rank}: {exc} at {where}",
                                  exc.index, exc.value) from None
         c = sound_speed(self.gas, rho, p)
-        return [(flux(self.gas, w, p, axis), (np.abs(w[IMX + axis] / rho) + c)[None])
-                for axis in axes]
+        f = flux(self.gas, fields, p, axis).swapaxes(0, 1)
+        return f, (np.abs(fields[IMX + axis] / rho) + c)[:, None]
 
 
 def cfl_time_step(gas: GasConstants, state: ManyVector, spacing,

@@ -68,6 +68,11 @@ class RunConfig:
     snapshot_path: str = ""
 
     def validate(self):
+        for section, keys in _CONFIG_KEYS.items():
+            for key, where in keys.items():
+                value = functools.reduce(_part, where, self)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ConfigError(f"[{section}] {key} must be finite, got {value}")
         if any(n < 1 for n in self.shape):
             raise ConfigError(f"grid shape must be positive, got {self.shape}")
         if any(hi <= lo for lo, hi in self.bounds):

@@ -3,6 +3,11 @@
 Faces are numbered 0..5 as (-x, +x, -y, +y, -z, +z); axis = face // 2,
 high side = face % 2, opposite = face ^ 1.
 
+Each task keeps one ghost-extended array per axis, shaped
+(n_axis + 6, n_fields, other two axes): the owned cells are copied in
+once per exchange, and the exchange and the physical boundary fills
+write the 3-deep ghost layers on either side in place.
+
 Neighbor messages use one wire format for every transport:
   face id (1 byte) | field count (u16 LE) | slab dims (3 x u32 LE) |
   payload (field count * prod(dims) float64 LE, C order, field-major).
@@ -155,35 +160,30 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# halo buffers and exchange
+# ghost-extended arrays and halo exchange
 
-def _slab_shape(local_shape, axis):
-    s = list(local_shape)
-    s[axis] = HALO_DEPTH
-    return tuple(s)
-
-
-class HaloBuffer:
-    """Six ghost slabs, each (n_fields, slab shape), three cells deep."""
-
-    def __init__(self, local_shape, n_fields: int):
-        self.local_shape = tuple(local_shape)
-        self.n_fields = n_fields
-        self.slabs = [np.zeros((n_fields,) + _slab_shape(local_shape, f // 2))
-                      for f in range(6)]
-
-    def poison(self):
-        for s in self.slabs:
-            s.fill(np.nan)
+def extended_arrays(local_shape, n_fields: int) -> list:
+    """One array per axis, (n_axis + 6, n_fields, other two axes): the
+    owned cells sit at [3:-3] along the first axis, between ghosts."""
+    return [np.empty((n + 2 * HALO_DEPTH, n_fields)
+                     + local_shape[:axis] + local_shape[axis + 1:])
+            for axis, n in enumerate(local_shape)]
 
 
-def _own_slab(fields, face: int) -> np.ndarray:
-    """Stack the 3-deep boundary slab of owned cells next to `face`."""
-    axis, hi = face // 2, face % 2
-    n = fields[0].shape[axis]
-    sl = [slice(None)] * 3
-    sl[axis] = slice(n - HALO_DEPTH, n) if hi else slice(0, HALO_DEPTH)
-    return np.stack([f[tuple(sl)] for f in fields])
+def extend(fields, out):
+    """Copy the owned fields into the interior of each extended array."""
+    for axis, ext in enumerate(out):
+        for i, f in enumerate(fields):
+            ext[HALO_DEPTH:-HALO_DEPTH, i] = np.moveaxis(f, axis, 0)
+
+
+def _slab(ext, face: int, ghost: bool) -> np.ndarray:
+    """View of the ghost layers of `face`, or of the owned layers next to
+    it, in that axis's extended array, laid out as on the wire."""
+    # the ghosts are the three outermost layers, the owned edge the next three
+    depth = HALO_DEPTH if ghost else 2 * HALO_DEPTH
+    start = len(ext) - depth if face % 2 else depth - HALO_DEPTH
+    return np.moveaxis(ext[start:start + HALO_DEPTH], 0, 1 + face // 2)
 
 
 def encode_halo_message(face: int, slab: np.ndarray) -> bytes:
@@ -207,67 +207,71 @@ def decode_halo_message(buf: bytes, expect_face: int, expect_shape) -> np.ndarra
 class ExchangeHandle:
     """Pending halo exchange; finish() must be called exactly once."""
 
-    def __init__(self, exchanger, fields, seq, poison):
+    def __init__(self, exchanger, ext, poison):
         self._ex = exchanger
-        self._fields = fields
-        self._seq = seq
+        self._ext = ext
+        self._poison = poison
         self._finished = False
-        decomp = exchanger.decomp
-        self._pending = [f for f in range(6) if decomp.neighbors[f] is not None]
-        if poison:
-            exchanger.halo.poison()
 
-    def finish(self) -> HaloBuffer:
+    def finish(self):
+        """Fill every ghost layer; a poisoned exchange then checks that
+        none was left unset."""
         if self._finished:
             raise ProtocolError("exchange handle finished twice")
         self._finished = True
-        halo, decomp = self._ex.halo, self._ex.decomp
+        ext, decomp, seq = self._ext, self._ex.decomp, self._ex._seq
+        pending = [f for f in range(6) if decomp.neighbors[f] is not None]
         # one peer can feed both faces of an axis (1- and 2-task layouts);
         # its messages arrive in ITS send order, so recv by sender face f^1
-        for face in sorted(self._pending, key=lambda f: f ^ 1):
-            src = decomp.neighbors[face]
-            tag = f"halo:{self._seq}:{face}"
-            raw = self._ex.comm.recv(src, tag)
-            slab = decode_halo_message(raw, face, halo.slabs[face].shape)
-            halo.slabs[face][...] = slab
+        for face in sorted(pending, key=lambda f: f ^ 1):
+            ghost = _slab(ext[face // 2], face, ghost=True)
+            raw = self._ex.comm.recv(decomp.neighbors[face],
+                                     f"halo:{seq}:{face}")
+            ghost[...] = decode_halo_message(raw, face, ghost.shape)
         for face in range(6):
             if decomp.neighbors[face] is None:
-                apply_boundary(halo, self._fields, face, decomp.bcs[face])
+                apply_boundary(ext[face // 2], face, decomp.bcs[face])
+            if self._poison and np.isnan(_slab(ext[face // 2], face, True)).any():
+                raise RuntimeError(
+                    f"ghost slab {FACE_NAMES[face]} left unset by the exchange")
         self._ex._open = False
-        return halo
 
 
 class HaloExchanger:
-    """Issues overlapped halo exchanges for one task's field set."""
+    """Fills the ghost layers of one task's extended arrays."""
 
     def __init__(self, comm, decomp: Decomposition, n_fields: int):
         self.comm = comm
         self.decomp = decomp
-        self.halo = HaloBuffer(decomp.local_shape, n_fields)
+        self.n_fields = n_fields
         self._seq = 0
         self._open = False
 
-    def begin(self, fields, poison: bool = False) -> ExchangeHandle:
-        """Send all six face slabs; receives complete in finish()."""
+    def begin(self, ext, poison: bool = False) -> ExchangeHandle:
+        """Send each neighbor face's owned layers straight from `ext`;
+        receives complete in finish(). poison NaN-fills the ghosts."""
         if self._open:
             raise ProtocolError("previous exchange not finished")
-        if len(fields) != self.halo.n_fields:
+        if ext[0].shape[1] != self.n_fields:
             raise ProtocolError(
-                f"expected {self.halo.n_fields} fields, got {len(fields)}")
+                f"expected {self.n_fields} fields, got {ext[0].shape[1]}")
         self._open = True
         self._seq += 1
         for face in range(6):
+            if poison:
+                _slab(ext[face // 2], face, ghost=True).fill(np.nan)
             dst = self.decomp.neighbors[face]
             if dst is None:
                 continue
             dst_face = face ^ 1
-            msg = encode_halo_message(dst_face, _own_slab(fields, face))
+            msg = encode_halo_message(dst_face, _slab(ext[face // 2], face, False))
             self.comm.send(dst, f"halo:{self._seq}:{dst_face}", msg)
-        return ExchangeHandle(self, fields, self._seq, poison)
+        return ExchangeHandle(self, ext, poison)
 
 
-def apply_boundary(halo: HaloBuffer, fields, face: int, bc: str):
-    """Fill one physical-face ghost slab from mirrored interior cells.
+def apply_boundary(ext, face: int, bc: str):
+    """Fill the ghost layers of one physical face in its axis's extended
+    array by mirroring the owned layers next to it.
 
     Of the three boundary kinds, periodic faces are filled by the
     exchange; neumann: ghost = mirror; reflect: neumann for everything
@@ -278,9 +282,7 @@ def apply_boundary(halo: HaloBuffer, fields, face: int, bc: str):
     if bc == PERIODIC:
         raise ProtocolError("periodic faces are filled by the exchange")
     axis = face // 2
-    mirror = np.flip(_own_slab(fields, face), axis=1 + axis)
+    ghost = _slab(ext, face, ghost=True)
+    ghost[...] = np.flip(_slab(ext, face, ghost=False), axis=1 + axis)
     if bc == REFLECT:
-        mirror[1 + axis] = -mirror[1 + axis]
-    elif bc != NEUMANN:
-        raise MeshError(f"unknown boundary condition {bc!r}")
-    halo.slabs[face][...] = mirror
+        ghost[1 + axis] = -ghost[1 + axis]

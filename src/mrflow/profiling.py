@@ -1,9 +1,8 @@
 """Per-task timer regions and cross-task aggregation.
 
 Regions nest: EULER sits inside SLOW_RHS and contains the MPI, PACKING,
-and FDWENO intervals spent building one divergence. PACKING times the
-copies that lay cells out for reconstruction: stacking the owned fields
-once per call and joining them with the ghost slabs along each axis;
+and FDWENO intervals spent building one divergence. PACKING times
+copying the owned fields into the ghost-extended array of each axis;
 FDWENO times the pointwise fluxes and the reconstruction. TRANSIENT and
 FIXED_STEP cover the two evolution phases; TOTAL spans setup plus both
 phases. Nested scopes of different regions each accumulate the inner

@@ -168,10 +168,13 @@ def read_snapshot(path):
         magic = fh.read(8)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a snapshot file: bad magic {magic!r}")
-        count, width = struct.unpack("<II", fh.read(8))
-        if width != 8:
-            raise ValueError(f"unsupported element width {width}")
-        lengths = [struct.unpack("<Q", fh.read(8))[0] for _ in range(count)]
+        try:
+            count, width = struct.unpack("<II", fh.read(8))
+            if width != 8:
+                raise ValueError(f"unsupported element width {width}")
+            lengths = [struct.unpack("<Q", fh.read(8))[0] for _ in range(count)]
+        except struct.error:
+            raise ValueError("snapshot header truncated") from None
         out = []
         for n in lengths:
             raw = fh.read(8 * n)

@@ -434,6 +434,13 @@ def test_fixed_truncates_final_step():
     assert abs(y.arrays[0][0] - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("h", [0.0, -0.3, float("nan"), float("inf")])
+def test_fixed_rejects_bad_step(h):
+    with pytest.raises(SolverError, match="fixed step must be positive"):
+        fixed_evolve(_scalar_rhs(lambda t, v: 1.0 + 0.0 * v), _scalar_state(0.0),
+                     0.0, 1.0, h, classic_rk4())
+
+
 def test_fixed_newton_failure_is_fatal():
     lam = -100.0
     eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),

@@ -282,19 +282,35 @@ def test_debug_poison_catches_unfilled_ghost_slab(monkeypatch):
         run_spmd(1, fn)
 
 
-def test_eos_error_in_ghost_slab_names_face(monkeypatch):
-    # a boundary fill writing the negated mirror puts et = -2 in every
-    # physical ghost slab, so the ghosts fail the EOS; -x is checked first
+def _negate_physical_ghosts(monkeypatch):
+    """Make the boundary fill write the negated mirror, which puts
+    et = -2 in every physical ghost slab of a uniform et = 2 state."""
     mirror = mesh.apply_boundary
 
-    def negated_mirror(halo, fields, face, bc):
-        mirror(halo, fields, face, bc)
-        np.negative(halo.slabs[face], out=halo.slabs[face])
+    def negated_mirror(ext, face, bc):
+        mirror(ext, face, bc)
+        ghost = ext[-mesh.HALO_DEPTH:] if face % 2 else ext[:mesh.HALO_DEPTH]
+        np.negative(ghost, out=ghost)
     monkeypatch.setattr(mesh, "apply_boundary", negated_mirror)
+
+
+def test_eos_error_in_ghost_slab_names_face(monkeypatch):
+    # the ghosts fail the EOS; -x is checked first
+    _negate_physical_ghosts(monkeypatch)
     with pytest.raises(EosDomainError,
                        match=r"^rank 0: nonpositive internal energy -2 "
                              r"at ghost slab -x$"):
         run_spmd(1, _bad_cell_worker, (6, 6, 6), (NEUMANN,) * 6, None)
+
+
+def test_eos_error_names_owned_cell_before_ghost_slab(monkeypatch):
+    # the -x ghosts come first in memory, but a bad owned cell on the
+    # same rank is named instead
+    _negate_physical_ghosts(monkeypatch)
+    with pytest.raises(EosDomainError,
+                       match=r"^rank 0: nonpositive internal energy -0\.25 "
+                             r"at global cell \(3, 2, 4\)$"):
+        run_spmd(1, _bad_cell_worker, (6, 6, 6), (NEUMANN,) * 6, (3, 2, 4))
 
 
 def test_uniform_state_has_zero_rhs():

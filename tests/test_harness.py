@@ -136,6 +136,15 @@ def test_load_config_rejects_bad_value(tmp_path):
         load_config(str(path))
 
 
+def test_cli_rejects_non_finite_config_value(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("fast_ratio = 10", "fast_ratio = inf"))
+    with pytest.raises(ConfigError, match=r"\[time\] fast_ratio must be finite"):
+        load_config(str(ini))
+    assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/run.ini")
@@ -151,6 +160,8 @@ def test_load_config_missing_file():
     ("fast_ratio", 0.5),
     ("gamma", 1.0),
     ("n_clumps", -1),
+    ("fast_ratio", float("inf")),   # the fixed phase would step by 0
+    ("h_slow", float("nan")),
 ])
 def test_validate_rejects_bad_fields(field, value):
     with pytest.raises(ConfigError):

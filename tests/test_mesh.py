@@ -5,9 +5,9 @@ import pytest
 
 from mrflow.mesh import (HALO_DEPTH, NEUMANN, PERIODIC, REFLECT,
                          Decomposition, HaloExchanger, MeshError, UniformGrid,
-                         apply_boundary, decode_halo_message,
-                         dims_create, encode_halo_message, local_extents)
-from mrflow.mesh import HaloBuffer
+                         apply_boundary, decode_halo_message, dims_create,
+                         encode_halo_message, extend, extended_arrays,
+                         local_extents)
 from mrflow.transport import ChannelTransport, Communicator, ProtocolError, run_spmd
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -107,27 +107,10 @@ def _global_field(shape, n_fields):
     return np.stack([base + 1e6 * f for f in range(n_fields)])
 
 
-def _oracle_slab(padded, extents, face):
-    (x0, x1), (y0, y1), (z0, z1) = extents
-    h = HALO_DEPTH
-    ix = slice(x0 + h, x1 + h)
-    iy = slice(y0 + h, y1 + h)
-    iz = slice(z0 + h, z1 + h)
-    axis, hi = face // 2, face % 2
-    ghost = {
-        0: (slice(x0, x0 + h), iy, iz),
-        1: (slice(x1 + h, x1 + 2 * h), iy, iz),
-        2: (ix, slice(y0, y0 + h), iz),
-        3: (ix, slice(y1 + h, y1 + 2 * h), iz),
-        4: (ix, iz, slice(z0, z0 + h))[0:0],  # unused, see below
-    }
-    if face < 4:
-        sel = ghost[face]
-    elif face == 4:
-        sel = (ix, iy, slice(z0, z0 + h))
-    else:
-        sel = (ix, iy, slice(z1 + h, z1 + 2 * h))
-    return padded[(slice(None),) + sel]
+def _extended(fields):
+    ext = extended_arrays(fields[0].shape, len(fields))
+    extend(fields, ext)
+    return ext
 
 
 def _exchange_worker(comm, shape, n_tasks, n_fields):
@@ -135,11 +118,9 @@ def _exchange_worker(comm, shape, n_tasks, n_fields):
     d = Decomposition(grid, n_tasks, comm.rank, (PERIODIC,) * 6)
     g = _global_field(shape, n_fields)
     (x0, x1), (y0, y1), (z0, z1) = d.extents
-    fields = [g[f, x0:x1, y0:y1, z0:z1].copy() for f in range(n_fields)]
-    ex = HaloExchanger(comm, d, n_fields)
-    handle = ex.begin(fields, poison=True)
-    halo = handle.finish()
-    return d.extents, [s.copy() for s in halo.slabs]
+    ext = _extended([g[f, x0:x1, y0:y1, z0:z1] for f in range(n_fields)])
+    HaloExchanger(comm, d, n_fields).begin(ext, poison=True).finish()
+    return d.extents, ext
 
 
 @pytest.mark.parametrize("n_tasks", [1, 2, 4, 8])
@@ -147,12 +128,16 @@ def test_periodic_exchange_matches_global_oracle(n_tasks):
     shape, n_fields = (8, 6, 6), 3
     g = _global_field(shape, n_fields)
     padded = np.pad(g, ((0, 0),) + ((HALO_DEPTH, HALO_DEPTH),) * 3, mode="wrap")
-    for extents, slabs in run_spmd(n_tasks, _exchange_worker, shape, n_tasks,
-                                   n_fields):
-        for face in range(6):
+    for extents, ext in run_spmd(n_tasks, _exchange_worker, shape, n_tasks,
+                                 n_fields):
+        for axis in range(3):
+            # owned cells plus the ghosts on either side along `axis`
+            sel = [slice(lo + HALO_DEPTH, hi + HALO_DEPTH) for lo, hi in extents]
+            lo, hi = extents[axis]
+            sel[axis] = slice(lo, hi + 2 * HALO_DEPTH)
             np.testing.assert_array_equal(
-                slabs[face], _oracle_slab(padded, extents, face),
-                err_msg=f"face {face} extents {extents}")
+                ext[axis], np.moveaxis(padded[(slice(None), *sel)], 1 + axis, 0),
+                err_msg=f"axis {axis} extents {extents}")
 
 
 def _self_comm():
@@ -162,13 +147,13 @@ def _self_comm():
 def test_exchange_protocol_errors():
     grid = UniformGrid((6, 6, 6), BOUNDS)
     d = Decomposition(grid, 1, 0, (PERIODIC,) * 6)
-    fields = [np.zeros((6, 6, 6))]
+    ext = _extended([np.zeros((6, 6, 6))])
     ex = HaloExchanger(_self_comm(), d, 1)
     with pytest.raises(ProtocolError, match="expected 1 fields"):
-        ex.begin([fields[0], fields[0]])
-    handle = ex.begin(fields)
+        ex.begin(_extended([np.zeros((6, 6, 6))] * 2))
+    handle = ex.begin(ext)
     with pytest.raises(ProtocolError, match="not finished"):
-        ex.begin(fields)
+        ex.begin(ext)
     handle.finish()
     with pytest.raises(ProtocolError, match="twice"):
         handle.finish()
@@ -190,39 +175,47 @@ def _linear_x_fields(n):
     return [f]
 
 
+def _mirror_check(bc):
+    """Fill each face in turn and compare its ghost layers against a
+    symmetric pad of the owned fields; reflect also negates momentum
+    field 1 + axis in the ghosts."""
+    shape = (6, 5, 4)
+    g = _global_field(shape, 5)
+    for face in range(6):
+        axis, h = face // 2, HALO_DEPTH
+        ext = _extended(list(g))
+        apply_boundary(ext[axis], face, bc)
+        pad = [(0, 0)] * 4
+        pad[1 + axis] = (h, h)
+        oracle = np.moveaxis(np.pad(g, pad, mode="symmetric"), 1 + axis, 0)
+        if bc == REFLECT:
+            oracle[:h, 1 + axis] *= -1.0
+            oracle[-h:, 1 + axis] *= -1.0
+        ghosts = slice(-h, None) if face % 2 else slice(0, h)
+        np.testing.assert_array_equal(ext[axis][ghosts], oracle[ghosts],
+                                      err_msg=f"face {face}")
+
+
 def test_neumann_mirror_orientation():
-    halo = HaloBuffer((6, 6, 6), 1)
-    fields = _linear_x_fields(6)
-    apply_boundary(halo, fields, 0, NEUMANN)
-    # nearest ghost mirrors cell 0, deepest mirrors cell 2
-    np.testing.assert_array_equal(halo.slabs[0][0, :, 0, 0], [2.0, 1.0, 0.0])
-    apply_boundary(halo, fields, 1, NEUMANN)
-    np.testing.assert_array_equal(halo.slabs[1][0, :, 0, 0], [5.0, 4.0, 3.0])
+    _mirror_check(NEUMANN)
 
 
 def test_reflect_flips_perpendicular_momentum_only():
-    halo = HaloBuffer((6, 6, 6), 5)
-    consts = [2.0, 3.0, 4.0, 5.0, 6.0]  # rho, mx, my, mz, et
-    fields = [np.full((6, 6, 6), c) for c in consts]
-    apply_boundary(halo, fields, 0, REFLECT)   # x face: flip mx
-    got = [halo.slabs[0][f, 0, 0, 0] for f in range(5)]
-    assert got == [2.0, -3.0, 4.0, 5.0, 6.0]
-    apply_boundary(halo, fields, 5, REFLECT)   # z face: flip mz
-    got = [halo.slabs[5][f, 0, 0, 0] for f in range(5)]
-    assert got == [2.0, 3.0, 4.0, -5.0, 6.0]
+    _mirror_check(REFLECT)
 
 
 def test_apply_boundary_rejects_periodic():
-    halo = HaloBuffer((6, 6, 6), 1)
+    ext = _extended(_linear_x_fields(6))
     with pytest.raises(ProtocolError):
-        apply_boundary(halo, _linear_x_fields(6), 0, PERIODIC)
+        apply_boundary(ext[0], 0, PERIODIC)
 
 
 def test_physical_faces_filled_during_finish():
     grid = UniformGrid((6, 6, 6), BOUNDS)
     d = Decomposition(grid, 1, 0, (NEUMANN,) * 6)
-    fields = _linear_x_fields(6)
+    ext = _extended(_linear_x_fields(6))
     ex = HaloExchanger(_self_comm(), d, 1)
-    halo = ex.begin(fields, poison=True).finish()
-    np.testing.assert_array_equal(halo.slabs[0][0, :, 2, 2], [2.0, 1.0, 0.0])
-    assert not any(np.isnan(s).any() for s in halo.slabs)
+    ex.begin(ext, poison=True).finish()
+    # nearest ghost mirrors cell 0, deepest mirrors cell 2
+    np.testing.assert_array_equal(ext[0][:HALO_DEPTH, 0, 2, 2], [2.0, 1.0, 0.0])
+    assert not any(np.isnan(e).any() for e in ext)

@@ -173,12 +173,16 @@ def test_snapshot_bad_magic(tmp_path):
 
 def test_snapshot_truncated(tmp_path):
     path = tmp_path / "cut.bin"
-    write_snapshot(path, [np.arange(8.0)])
+    write_snapshot(path, [np.arange(8.0), np.arange(3.0)])
     data = path.read_bytes()
-    path.write_bytes(data[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        read_snapshot(path)
     assert data[:8] == SNAPSHOT_MAGIC
+    # inside the payload; after the magic; inside the count/width words;
+    # inside the length table
+    for cut, what in ((len(data) - 4, "payload"), (8, "header"),
+                      (12, "header"), (28, "header")):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"snapshot {what} truncated"):
+            read_snapshot(path)
 
 
 def test_clone_empty_preserves_structure():
