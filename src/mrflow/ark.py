@@ -106,16 +106,6 @@ def sdirk4() -> ButcherTable:
     )
 
 
-def _weighted_sum(coeffs, vecs, out):
-    """out <- sum coeffs[i]*vecs[i], skipping zero coefficients."""
-    cs = [c for c in coeffs if c != 0.0]
-    vs = [v for c, v in zip(coeffs, vecs) if c != 0.0]
-    if not cs:
-        out.fill(0.0)
-        return
-    fused_linear_combination(cs, vs, out)
-
-
 def erk_step(f, t: float, h: float, y, table: ButcherTable, err_out=None):
     """One explicit step; y is untouched, the new state is returned.
 
@@ -137,8 +127,8 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
     z = None
     a_vec = y.clone_empty()
     for i in range(table.stages):
-        _weighted_sum([1.0] + [h * aij for aij in table.a[i][:i]], [y] + ks,
-                      a_vec)
+        fused_linear_combination([1.0] + [h * aij for aij in table.a[i][:i]],
+                                 [y] + ks, a_vec)
         aii = table.a[i][i]
         if aii == 0.0:
             ks.append(f(t + table.c[i] * h, a_vec))
@@ -147,7 +137,7 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
             z = y.copy()
         newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights)
         k = y.clone_empty()
-        _weighted_sum([1.0, -1.0], [z, a_vec], k)
+        fused_linear_combination([1.0, -1.0], [z, a_vec], k)
         for arr in k.arrays:
             arr /= h * aii
         ks.append(k)
@@ -159,10 +149,10 @@ def _update(h: float, y, table: ButcherTable, ks, err_out):
     h*sum (b_i - b~_i) k_i into err_out if given and the table has an
     embedding."""
     out = y.clone_empty()
-    _weighted_sum([1.0] + [h * bi for bi in table.b], [y] + ks, out)
+    fused_linear_combination([1.0] + [h * bi for bi in table.b], [y] + ks, out)
     if err_out is not None and table.b_embedded is not None:
         d = [h * (bi - bt) for bi, bt in zip(table.b, table.b_embedded)]
-        _weighted_sum(d, ks, err_out)
+        fused_linear_combination(d, ks, err_out)
     return out
 
 
@@ -189,13 +179,13 @@ class IntegrationStats:
 
 def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
                     rtol: float, atol: float, h0: float, h_max: float,
-                    newton=None, max_steps: int = DEFAULT_MAX_STEPS,
-                    stats: IntegrationStats = None, step_log=None):
+                    newton=None, stats: IntegrationStats = None, step_log=None):
     """Advance y from t0 to tf with error-controlled steps.
 
     y is updated in place and also returned. Raises SolverError when the
-    attempt budget runs out or the step size underflows. step_log, if
-    given, receives one (t, h, error, accepted) tuple per attempt.
+    step size underflows or the call has made DEFAULT_MAX_STEPS attempts.
+    step_log, if given, receives one (t, h, error, accepted) tuple per
+    attempt.
     """
     if stats is None:
         stats = IntegrationStats()
@@ -208,9 +198,9 @@ def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
     base_steps = stats.steps   # the budget is per call, stats may be shared
     while tf - t > tiny:
-        if stats.steps - base_steps >= max_steps:
+        if stats.steps - base_steps >= DEFAULT_MAX_STEPS:
             raise SolverError(
-                f"step budget of {max_steps} exhausted at t={t!r}")
+                f"step budget of {DEFAULT_MAX_STEPS} exhausted at t={t!r}")
         if h < tiny:
             raise SolverError(f"step size underflow at t={t!r}")
         h_try = min(h, tf - t)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import FACE_NAMES, HALO_DEPTH, HaloExchanger, extend, extended_arrays
-from .profiling import Region, null_profile
+from .profiling import Profile, Region
 from .vectors import ManyVector
 
 IRHO, IMX, IMY, IMZ, IET, ICHEM = 0, 1, 2, 3, 4, 5
@@ -158,7 +158,7 @@ class EulerPipeline:
                  profile=None, debug: bool = False):
         self.decomp = decomp
         self.gas = gas
-        self.profile = profile if profile is not None else null_profile()
+        self.profile = profile if profile is not None else Profile()
         self.debug = debug
         self.exchanger = HaloExchanger(comm, decomp, 5 + n_chem)
         self.ext = extended_arrays(decomp.local_shape, 5 + n_chem)

@@ -23,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ark import IntegrationStats, SolverError, sdirk4
-from .ark import knoth_wolke_3
+from .ark import SolverError, knoth_wolke_3, sdirk4
 from .chemistry import (EnergyBookkeeping, IEG, N_SPECIES, SurrogateNetwork,
                         UnitSystem, clump_table, density_field,
                         nondimensionalize, species_init, temperature_field)
@@ -87,6 +86,8 @@ class RunConfig:
             raise ConfigError("fast_ratio must be at least 1")
         if self.gamma <= 1.0:
             raise ConfigError("gamma must exceed 1")
+        if self.seed < 0:
+            raise ConfigError("seed cannot be negative")
         if self.n_clumps < 0:
             raise ConfigError("n_clumps cannot be negative")
         return self
@@ -360,10 +361,16 @@ def read_profile_csv(path: str):
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"empty profile csv {path}")
-    tasks = int(rows[0]["tasks"])
-    mode = rows[0]["mode"]
-    regions = {r["region"]: (float(r["min"]), float(r["mean"]), float(r["max"]))
-               for r in rows}
+    try:
+        tasks = int(rows[0]["tasks"])
+        mode = rows[0]["mode"]
+        regions = {r["region"]: (float(r["min"]), float(r["mean"]),
+                                 float(r["max"])) for r in rows}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed profile csv {path}: {exc!r}") from exc
+    missing = {Region.TRANSIENT.value, Region.FIXED_STEP.value} - set(regions)
+    if missing:
+        raise ConfigError(f"profile csv {path} has no {sorted(missing)} rows")
     return tasks, mode, regions
 
 
@@ -461,8 +468,6 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.plan is not None:
         cfg = apply_plan(cfg, scaling_plan(args.plan))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.csv:
         cfg = replace(cfg, csv_path=args.csv)
     if args.snapshot:
@@ -523,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override grid/stepping from the scaling ladder")
     run_p.add_argument("--csv", default="", help="write profile CSV here")
     run_p.add_argument("--snapshot", default="", help="write final state here")
-    run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--transport", choices=("threads", "sockets"),
                        default="threads")
     run_p.set_defaults(func=_cmd_run)

@@ -66,7 +66,7 @@ class UniformGrid:
         return int(np.prod(self.shape))
 
 
-def dims_create(n_tasks: int, grid=None) -> tuple:
+def dims_create(n_tasks: int) -> tuple:
     """Factor n_tasks into three per-axis counts, as close to equal as
     possible (minimal max/min ratio, then smaller max, then smaller mid).
     Ties assign nonincreasing factors to (x, y, z)."""
@@ -126,9 +126,7 @@ class Decomposition:
         self.layout = dims_create(n_tasks)
         if any(p > n for p, n in zip(self.layout, grid.shape)):
             raise MeshError(f"layout {self.layout} exceeds grid {grid.shape}")
-        if any(n // p < HALO_DEPTH for p, n in zip(self.layout, grid.shape)
-               if p > 1) or any(p == 1 and n < HALO_DEPTH
-                                for p, n in zip(self.layout, grid.shape)):
+        if any(n // p < HALO_DEPTH for p, n in zip(self.layout, grid.shape)):
             raise MeshError(
                 f"local extents of {grid.shape} over {self.layout} are "
                 f"thinner than the {HALO_DEPTH}-cell halo")

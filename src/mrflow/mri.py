@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ark import (ButcherTable, IntegrationStats, SolverError,
-                  _weighted_sum, adaptive_evolve, fixed_evolve, sdirk4)
-from .profiling import Region, null_profile
+                  adaptive_evolve, fixed_evolve, sdirk4)
+from .profiling import Profile, Region
+from .vectors import fused_linear_combination
 
 FAST_START_FRACTION = 0.01   # initial fast step = h_max / 100
 
@@ -36,14 +37,19 @@ class CouplingError(ValueError):
 
 @dataclass
 class FastSolve:
-    """How to integrate the fast sub-IVPs."""
+    """How to integrate the fast sub-IVPs: mode "fixed" steps by h_fixed;
+    mode "adaptive" controls the error to rtol/atol, with steps capped at
+    h_max and the stage width and ark.DEFAULT_MAX_STEPS attempts a stage."""
     table: ButcherTable = field(default_factory=sdirk4)
-    mode: str = "adaptive"          # "adaptive" or "fixed"
+    mode: str = "adaptive"
     h_fixed: float = 0.0
-    h_max: float = 0.0              # adaptive step cap; 0 = stage width
+    h_max: float = np.inf
     rtol: float = 1e-5
     atol: float = 1e-9
-    max_steps: int = 5000
+
+    def __post_init__(self):
+        if self.mode not in ("adaptive", "fixed"):
+            raise ValueError(f"unknown fast mode {self.mode!r}")
 
 
 class MRICoupling:
@@ -56,6 +62,8 @@ class MRICoupling:
             raise CouplingError("outer table must start at c = 0")
         if any(c[i + 1] < c[i] for i in range(s)):
             raise CouplingError("outer abscissae must be non-decreasing")
+        if any(x != 0.0 for i, row in enumerate(slow_table.a) for x in row[i:]):
+            raise CouplingError("outer table must be explicit")
         rows = [tuple(slow_table.a[i]) for i in range(s)] + [tuple(slow_table.b)]
         self.c = tuple(c)
         self.rows = tuple(rows)
@@ -65,17 +73,19 @@ class MRICoupling:
         return self.c[i + 1] - self.c[i]
 
     def delta_a(self, i: int) -> tuple:
-        return tuple(hi - lo for hi, lo in zip(self.rows[i + 1], self.rows[i]))
+        """Weights of the i + 1 slow stages evaluated before interval i."""
+        return tuple(hi - lo for hi, lo in zip(self.rows[i + 1][:i + 1],
+                                               self.rows[i]))
 
 
 def mri_forcing(coupling: MRICoupling, i: int, slow_rhs, out):
-    """Constant forcing for the i-th fast interval:
-    out = (1/dc_i) * sum_j (A_{i+1,j} - A_{i,j}) f_slow_j."""
+    """Constant forcing for the i-th fast interval from slow_rhs[:i + 1]:
+    out = (1/dc_i) * sum_{j<=i} (A_{i+1,j} - A_{i,j}) f_slow_j."""
     dc = coupling.delta_c(i)
     if dc == 0.0:
         raise CouplingError("no fast interval between equal abscissae")
-    _weighted_sum([d / dc for d in coupling.delta_a(i)], slow_rhs, out)
-    return out
+    return fused_linear_combination([d / dc for d in coupling.delta_a(i)],
+                                    slow_rhs[:i + 1], out)
 
 
 def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
@@ -91,9 +101,8 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
         dc = coupling.delta_c(i)
         da = coupling.delta_a(i)
         if dc == 0.0:
-            stage = y.clone_empty()
-            _weighted_sum([1.0] + [h * d for d in da], [z] + slow_rhs, stage)
-            z = stage
+            z = fused_linear_combination([1.0] + [h * d for d in da],
+                                         [z] + slow_rhs)
         else:
             mri_forcing(coupling, i, slow_rhs, forcing)
 
@@ -115,13 +124,11 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
                                  fast.table, newton=newton, rtol=fast.rtol,
                                  atol=fast.atol, stats=fast_stats)
                 else:
-                    width = t_b - t_a
-                    cap = min(width, fast.h_max) if fast.h_max > 0.0 else width
+                    cap = min(t_b - t_a, fast.h_max)
                     adaptive_evolve(tendency, z, t_a, t_b, fast.table,
                                     rtol=fast.rtol, atol=fast.atol,
                                     h0=FAST_START_FRACTION * cap, h_max=cap,
-                                    newton=newton, max_steps=fast.max_steps,
-                                    stats=fast_stats)
+                                    newton=newton, stats=fast_stats)
             except SolverError as exc:
                 raise SolverError(
                     f"fast solve failed at slow stage {i + 1}: {exc}") from exc
@@ -145,7 +152,10 @@ def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
                      newton=None, hooks=None, profile=None) -> EvolveResult:
     """Transient phase with adaptive fast stepping, then a measured
     phase with fixed fast steps; each phase is timed in its own region."""
-    profile = profile if profile is not None else null_profile()
+    if not (np.isfinite(h_slow) and h_slow > 0.0):
+        raise SolverError(
+            f"slow step must be positive and finite, got {h_slow!r}")
+    profile = profile if profile is not None else Profile()
     fast_stats = IntegrationStats()
     n_slow = 0
     phases = ((t0, t_split, fast_transient, Region.TRANSIENT),

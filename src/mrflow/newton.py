@@ -35,7 +35,7 @@ import numpy as np
 
 from .chemistry import SPECIES
 from .euler import state_fields
-from .profiling import Region, null_profile
+from .profiling import Profile, Region
 from .vectors import wrms_norm
 
 MAX_ITERS = 10
@@ -121,15 +121,15 @@ class NewtonEngine:
     kept (with its factorization) between calls and rebuilt only when hg
     changes or reset()/a convergence failure invalidates it. Only its
     coupled rows are stored: see the module docstring. comm is not read:
-    the convergence norm reduces on the vectors' own communicator.
+    the convergence norm reduces on the vectors' own communicator. The
+    iteration converges at rate * norm <= DEFAULT_CONV_COEF.
     """
 
     def __init__(self, jacobian, pattern, nb: int, n_cells: int, comm=None,
-                 profile=None, conv_coef: float = DEFAULT_CONV_COEF):
+                 profile=None):
         self.jacobian = jacobian
         self.pattern = tuple(pattern)
-        self.profile = profile if profile is not None else null_profile()
-        self.conv_coef = conv_coef
+        self.profile = profile if profile is not None else Profile()
         self.stats = NewtonStats()
         self.n_cells = n_cells
         for r, c in self.pattern:
@@ -188,7 +188,7 @@ class NewtonEngine:
                 if norm > 2.0 * norm_prev:
                     break
                 rate = max(0.3 * rate, norm / norm_prev)
-            if rate * norm <= self.conv_coef:
+            if rate * norm <= DEFAULT_CONV_COEF:
                 return k
             norm_prev = norm
         self.stats.failures += 1

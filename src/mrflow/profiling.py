@@ -7,7 +7,8 @@ FDWENO times the pointwise fluxes and the reconstruction. TRANSIENT and
 FIXED_STEP cover the two evolution phases; TOTAL spans setup plus both
 phases. Nested scopes of different regions each accumulate the inner
 interval, which is what makes containment identities like
-euler >= mpi + packing + fdweno hold.
+euler >= mpi + packing + fdweno hold. Timing is always on: a component
+built without a profile records into a fresh one that nobody reads.
 
 Aggregation across tasks happens once, at run end, in a single
 collective round carrying every region, so profiling never perturbs the
@@ -17,7 +18,7 @@ measured reduction counts mid-run.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,25 +47,17 @@ REGIONS = tuple(Region)
 _CALLBACK_REGIONS = (Region.SLOW_RHS, Region.FAST_RHS, Region.FAST_JAC,
                      Region.LIN_SETUP, Region.LIN_SOLVE)
 
-_NULL = nullcontext()
-
 
 class Profile:
     """Accumulated wall seconds per region for one task."""
 
-    __slots__ = ("seconds", "enabled")
+    __slots__ = ("seconds",)
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         self.seconds = {r: 0.0 for r in REGIONS}
-        self.enabled = enabled
-
-    def region(self, region: Region):
-        if not self.enabled:
-            return _NULL
-        return self._scope(region)
 
     @contextmanager
-    def _scope(self, region):
+    def region(self, region: Region):
         t0 = time.perf_counter()
         try:
             yield
@@ -74,16 +67,6 @@ class Profile:
     def as_array(self):
         import numpy as np
         return np.array([self.seconds[r] for r in REGIONS])
-
-
-_null = None
-
-
-def null_profile() -> Profile:
-    global _null
-    if _null is None:
-        _null = Profile(enabled=False)
-    return _null
 
 
 @dataclass

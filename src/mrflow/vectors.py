@@ -85,13 +85,19 @@ def copy_of(v: ManyVector) -> ManyVector:
 def fused_linear_combination(coeffs, vecs, out=None):
     """out = sum_j coeffs[j] * vecs[j], accumulated left to right in j.
 
-    The leading vector's mode picks in-place accumulation (batched) or
-    a new temporary per binary sum; the bits are the same.
+    Zero-coefficient terms are skipped (all zero: out = 0), so vectors a
+    table never weights are never read. The leading kept vector's mode
+    picks in-place accumulation (batched) or a new temporary per binary
+    sum; the bits are the same.
     """
     if len(coeffs) != len(vecs) or not vecs:
         raise ValueError("coeffs and vecs must be equal-length and non-empty")
     if out is None:
         out = vecs[0].clone_empty()
+    terms = [(c, v) for c, v in zip(coeffs, vecs) if c != 0.0]
+    if not terms:
+        return out.fill(0.0)
+    coeffs, vecs = zip(*terms)
     fused = vecs[0].batched_reductions
     for o, *parts in zip(out.arrays, *(v.arrays for v in vecs)):
         if fused:

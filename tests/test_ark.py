@@ -4,6 +4,7 @@ and both evolve drivers (adaptive and fixed-step)."""
 import numpy as np
 import pytest
 
+from mrflow import ark
 from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
                         IntegrationStats, SolverError, adaptive_evolve,
                         bogacki_shampine_32, classic_rk4, dirk_step, erk_step,
@@ -331,12 +332,13 @@ def test_adaptive_requires_an_embedded_table():
                         h0=0.1, h_max=1.0)
 
 
-def test_adaptive_step_budget_is_enforced():
+def test_adaptive_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 10)
     f = _scalar_rhs(lambda t, v: 0.0 * v)
-    with pytest.raises(SolverError, match="budget"):
+    with pytest.raises(SolverError, match="budget of 10"):
         adaptive_evolve(f, _scalar_state(1.0), 0.0, 1.0,
                         bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                        h0=1e-12, h_max=1e-9, max_steps=10)
+                        h0=1e-12, h_max=1e-9)
 
 
 def test_adaptive_step_size_underflow_is_fatal():

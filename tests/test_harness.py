@@ -160,6 +160,7 @@ def test_load_config_missing_file():
     ("fast_ratio", 0.5),
     ("gamma", 1.0),
     ("n_clumps", -1),
+    ("seed", -1),
     ("fast_ratio", float("inf")),   # the fixed phase would step by 0
     ("h_slow", float("nan")),
 ])
@@ -407,6 +408,21 @@ def test_cli_report_missing_input_is_io_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out.csv"),
                  "--plot", str(tmp_path / "plot.py")]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n",
+    ",".join(CSV_COLUMNS) + "\n1,total,x,1,1,1,fused\n",
+    ",".join(CSV_COLUMNS) + "\n1,total,1,1,1,1,fused\n",
+], ids=["missing-column", "bad-value", "no-evolve-rows"])
+def test_cli_report_malformed_csv_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["report", "--inputs", str(bad),
+                 "--out", str(tmp_path / "out.csv"),
+                 "--plot", str(tmp_path / "plot.py")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
 
 
 # ------------------------------------------------------------- determinism

@@ -4,6 +4,7 @@ slow-limit equivalence, and the two-phase evolution driver."""
 import numpy as np
 import pytest
 
+from mrflow import ark
 from mrflow.ark import (ButcherTable, IntegrationStats, SolverError,
                         bogacki_shampine_32, classic_rk4, erk_step,
                         fixed_evolve, knoth_wolke_3, sdirk4)
@@ -35,8 +36,8 @@ def test_coupling_pads_the_outer_table():
     assert cpl.rows[-1] == knoth_wolke_3().b
     assert cpl.delta_c(0) == 1 / 3
     assert cpl.delta_c(2) == 0.25
-    np.testing.assert_allclose(cpl.delta_a(0), (1 / 3, 0.0, 0.0), atol=0)
-    np.testing.assert_allclose(cpl.delta_a(1), (-25 / 48, 15 / 16, 0.0),
+    np.testing.assert_allclose(cpl.delta_a(0), (1 / 3,), atol=0)
+    np.testing.assert_allclose(cpl.delta_a(1), (-25 / 48, 15 / 16),
                                rtol=1e-15)
     np.testing.assert_allclose(cpl.delta_a(2), (17 / 48, -51 / 80, 8 / 15),
                                rtol=1e-15)
@@ -62,6 +63,14 @@ def test_coupling_rejects_decreasing_abscissae():
         MRICoupling(worse)
 
 
+def test_coupling_rejects_implicit_outer_table():
+    trapezoid = ButcherTable(name="trapezoid",
+                             a=((0.0, 0.0), (0.5, 0.5)),
+                             b=(0.5, 0.5), c=(0.0, 1.0), order=2)
+    with pytest.raises(CouplingError, match="explicit"):
+        MRICoupling(trapezoid)
+
+
 # ----------------------------------------------------------------- forcing
 
 def test_forcing_matches_direct_formula():
@@ -72,7 +81,7 @@ def test_forcing_matches_direct_formula():
     out = _pair_state(0.0, 0.0)
     for i in range(cpl.n_intervals):
         mri_forcing(cpl, i, rhs, out)
-        expect = np.array(cpl.delta_a(i)) @ vals / cpl.delta_c(i)
+        expect = np.array(cpl.delta_a(i)) @ vals[:i + 1] / cpl.delta_c(i)
         got = np.array([out.arrays[0][0], out.arrays[1][0]])
         np.testing.assert_allclose(got, expect, rtol=1e-14)
 
@@ -243,10 +252,10 @@ def test_fast_failure_reports_the_slow_stage():
                  fast)
 
 
-def test_fast_budget_exhaustion_reports_the_slow_stage():
+def test_fast_budget_exhaustion_reports_the_slow_stage(monkeypatch):
+    monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 1)
     cpl = MRICoupling(knoth_wolke_3())
-    fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive",
-                     max_steps=1)
+    fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive")
     with pytest.raises(SolverError, match="slow stage 1.*budget"):
         mri_step(cpl, _zero_rhs, _zero_rhs, 0.0, 1.0, _pair_state(1.0, 1.0),
                  fast)
@@ -290,15 +299,29 @@ def test_evolve_two_phase_counts_steps_and_times_regions():
         [np.cos(0.6), np.sin(0.6)], rtol=1e-4)
 
 
-def test_evolve_two_phase_budget_is_per_fast_interval():
+def test_evolve_two_phase_budget_is_per_fast_interval(monkeypatch):
     # a shared stats object across thousands of fast solves must not trip
     # the per-call attempt budget
+    monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 40)
     cpl = MRICoupling(knoth_wolke_3())
-    fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive",
-                     max_steps=40)
+    fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive")
     res = evolve_two_phase(cpl, _zero_rhs, _zero_rhs, _pair_state(1.0, 1.0),
                            0.0, 0.5, 1.0, 0.01, fast, fast)
     assert res.fast_stats.steps > 40
+
+
+@pytest.mark.parametrize("h_slow", [0.0, -0.05, float("nan"), float("inf")])
+def test_evolve_two_phase_rejects_bad_slow_step(h_slow):
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=0.025)
+    with pytest.raises(SolverError, match="slow step"):
+        evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs,
+                         _pair_state(1.0, 1.0), 0.0, 0.1, 0.2, h_slow,
+                         fast, fast)
+
+
+def test_fast_solve_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="'Fixed'"):
+        FastSolve(table=classic_rk4(), mode="Fixed", h_fixed=0.01)
 
 
 # ------------------------------------------------------------ order study

@@ -4,6 +4,7 @@ Newton engine with its caching and reduction discipline."""
 import numpy as np
 import pytest
 
+from mrflow import newton
 from mrflow.chemistry import IEG, IH, IH2, N_SPECIES, SurrogateNetwork
 from mrflow.newton import (ConvergenceFailure, LinearSolveError,
                            NewtonEngine, block_lu_factor, block_lu_solve)
@@ -145,10 +146,11 @@ def _one_update(pattern, nb, vals, hg, seed=21):
     for x in a.arrays + forcing.arrays:
         x[...] = rng.standard_normal(x.shape)
     eng = NewtonEngine(lambda t, v: vals.reshape(shape + (len(pattern),)),
-                       pattern, nb=nb, n_cells=int(np.prod(shape)),
-                       conv_coef=np.inf)
-    eng.solve(lambda t, v: forcing.copy(), 0.0, z, a, hg,
-              error_weights(a, 1e-5, 1e-9))
+                       pattern, nb=nb, n_cells=int(np.prod(shape)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "DEFAULT_CONV_COEF", np.inf)
+        eng.solve(lambda t, v: forcing.copy(), 0.0, z, a, hg,
+                  error_weights(a, 1e-5, 1e-9))
     return _blocks(z), -hg * _blocks(forcing) - _blocks(a)
 
 

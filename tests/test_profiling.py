@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mrflow.profiling import (REGIONS, Profile, Region, aggregate,
-                              null_profile, parallel_efficiency,
-                              sundials_time)
+                              parallel_efficiency, sundials_time)
 from mrflow.transport import run_spmd
 from mrflow.vectors import ReductionLedger
 
@@ -46,14 +45,6 @@ def test_scope_survives_exceptions():
             time.sleep(0.01)
             raise RuntimeError("boom")
     assert p.seconds[Region.TOTAL] >= 0.009
-
-
-def test_null_profile_records_nothing():
-    p = null_profile()
-    assert not p.enabled
-    with p.region(Region.TOTAL):
-        pass
-    assert p.seconds[Region.TOTAL] == 0.0
 
 
 def test_as_array_follows_region_order():

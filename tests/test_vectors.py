@@ -52,6 +52,16 @@ def test_fused_combination_identity_and_cancellation():
     np.testing.assert_array_equal(zero.arrays[0], [0.0, 0.0, 0.0])
 
 
+def test_fused_combination_skips_zero_coefficients():
+    for batched in (True, False):
+        v = mv([1.0, -2.0], batched_reductions=batched)
+        bad = mv([np.inf, np.nan], batched_reductions=batched)
+        out = fused_linear_combination([0.0, 2.0, 0.0], [bad, v, bad])
+        np.testing.assert_array_equal(out.arrays[0], [2.0, -4.0])
+        fused_linear_combination([0.0, 0.0], [v, bad], out=out)
+        np.testing.assert_array_equal(out.arrays[0], [0.0, 0.0])
+
+
 def test_fused_combination_rejects_empty_and_mismatch():
     v = mv([1.0])
     with pytest.raises(ValueError):
