@@ -117,8 +117,10 @@ def erk_step(f, t: float, h: float, y, table: ButcherTable, err_out=None):
 
 def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
               weights, err_out=None):
-    """One diagonally implicit step; y is untouched, the new state is
-    returned. newton and weights are read only by implicit stages.
+    """One diagonally implicit step; y is untouched, the new state
+    y + h*sum b_i k_i is returned. newton and weights are read only by
+    implicit stages. If err_out is given and the table has an embedding,
+    the local error h*sum (b_i - b~_i) k_i is written there.
 
     Stage derivatives come from k_i = (z_i - a_i)/(h*a_ii); the previous
     implicit stage value is the predictor for the next one.
@@ -141,13 +143,6 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
         for arr in k.arrays:
             arr /= h * aii
         ks.append(k)
-    return _update(h, y, table, ks, err_out)
-
-
-def _update(h: float, y, table: ButcherTable, ks, err_out):
-    """The new state y + h*sum b_i k_i; also the local error
-    h*sum (b_i - b~_i) k_i into err_out if given and the table has an
-    embedding."""
     out = y.clone_empty()
     fused_linear_combination([1.0] + [h * bi for bi in table.b], [y] + ks, out)
     if err_out is not None and table.b_embedded is not None:
@@ -182,8 +177,9 @@ def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
                     newton=None, stats: IntegrationStats = None, step_log=None):
     """Advance y from t0 to tf with error-controlled steps.
 
-    y is updated in place and also returned. Raises SolverError when the
-    step size underflows or the call has made DEFAULT_MAX_STEPS attempts.
+    y is updated in place and also returned. Raises SolverError at the
+    first non-finite error estimate, when the step size underflows, or
+    when the call has made DEFAULT_MAX_STEPS attempts.
     step_log, if given, receives one (t, h, error, accepted) tuple per
     attempt.
     """
@@ -219,6 +215,9 @@ def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
             # a stale Jacobian was already dropped; retry at the same size
             continue
         error = wrms_norm(err, weights)
+        if not np.isfinite(error):
+            raise SolverError(
+                f"non-finite error estimate {error} at t={t!r} with h={h_try!r}")
         h_next = next_step_size(h_try, error, table.embedded_order, h_max)
         accepted = error <= 1.0
         if step_log is not None:

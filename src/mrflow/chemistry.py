@@ -103,19 +103,18 @@ def clump_table(seed: int, n_clumps: int, grid) -> np.ndarray:
 
 
 def _local_centers(grid, extents):
-    outs = []
-    for axis in range(3):
-        lo, hi = extents[axis]
-        outs.append(grid.centers(axis)[lo:hi])
-    return np.meshgrid(*outs, indexing="ij")
+    """X, Y, Z of the local cell centres and r_c^2 from the domain centre."""
+    X, Y, Z = np.meshgrid(*(grid.centers(axis)[lo:hi]
+                            for axis, (lo, hi) in enumerate(extents)),
+                          indexing="ij")
+    xc = [0.5 * (b[0] + b[1]) for b in grid.bounds]
+    return X, Y, Z, (X - xc[0]) ** 2 + (Y - xc[1]) ** 2 + (Z - xc[2]) ** 2
 
 
 def density_field(grid, extents, clumps: np.ndarray) -> np.ndarray:
     """rho0 * (1 + 5 exp(-20 r_c^2) + sum_i s_i exp(-2 (r_i/rad_i)^2)),
     rho0 = RHO_BACKGROUND."""
-    X, Y, Z = _local_centers(grid, extents)
-    xc = [0.5 * (b[0] + b[1]) for b in grid.bounds]
-    r2 = (X - xc[0]) ** 2 + (Y - xc[1]) ** 2 + (Z - xc[2]) ** 2
+    X, Y, Z, r2 = _local_centers(grid, extents)
     shape = 1.0 + 5.0 * np.exp(-20.0 * r2)
     for cx, cy, cz, amp, rad in clumps:
         d2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
@@ -125,9 +124,7 @@ def density_field(grid, extents, clumps: np.ndarray) -> np.ndarray:
 
 def temperature_field(grid, extents) -> np.ndarray:
     """T0 * (1 + 5 exp(-20 ||x - x_c||^2)), T0 = T_BACKGROUND."""
-    X, Y, Z = _local_centers(grid, extents)
-    xc = [0.5 * (b[0] + b[1]) for b in grid.bounds]
-    r2 = (X - xc[0]) ** 2 + (Y - xc[1]) ** 2 + (Z - xc[2]) ** 2
+    r2 = _local_centers(grid, extents)[3]
     return T_BACKGROUND * (1.0 + 5.0 * np.exp(-20.0 * r2))
 
 
@@ -236,19 +233,16 @@ class SurrogateNetwork:
         (5 + IEG, 5 + IEG),
     )
 
-    def rates(self, rho, chem):
-        h = chem[..., IH]
-        h2 = chem[..., IH2]
-        theta = chem[..., IEG] / self.e_ref
-        forward = self.k1 * h * h
-        backward = self.k2 * h2 * theta
-        return forward, backward
+    def rates(self, chem) -> np.ndarray:
+        """Net rate k1 H^2 - k2 H2 theta of 2H -> H2 in each cell."""
+        h, h2 = chem[..., IH], chem[..., IH2]
+        return self.k1 * h * h - self.k2 * h2 * (chem[..., IEG] / self.e_ref)
 
     def rhs(self, rho, chem) -> np.ndarray:
-        """Time derivatives of the chemistry slots (same shape as chem)."""
+        """Time derivatives of the chemistry slots: a new array shaped like
+        chem, zero outside H, H2 and e_g; the caller owns it."""
         out = np.zeros_like(chem)
-        forward, backward = self.rates(rho, chem)
-        net = forward - backward
+        net = self.rates(chem)
         out[..., IH] = -2.0 * net
         out[..., IH2] = net
         out[..., IEG] = self.q * net / rho
@@ -260,10 +254,10 @@ class SurrogateNetwork:
         h2 = chem[..., IH2]
         theta = chem[..., IEG] / self.e_ref
         k1, k2, q = self.k1, self.k2, self.q
-        d_f_h = 2.0 * k1 * h            # d(forward)/dH
-        d_b_h2 = k2 * theta             # d(backward)/dH2
-        d_b_eg = k2 * h2 / self.e_ref   # d(backward)/de_g
-        net = k1 * h * h - k2 * h2 * theta
+        d_f_h = 2.0 * k1 * h            # d(k1 H^2)/dH
+        d_b_h2 = k2 * theta             # d(k2 H2 theta)/dH2
+        d_b_eg = k2 * h2 / self.e_ref   # d(k2 H2 theta)/de_g
+        net = self.rates(chem)
         cols = (
             -2.0 * d_f_h, 2.0 * d_b_h2, 2.0 * d_b_eg,
             d_f_h, -d_b_h2, -d_b_eg,

@@ -147,11 +147,12 @@ def state_fields(state: ManyVector):
 class EulerPipeline:
     """Slow right-hand side: f(t, w) = -div F(w), with no source term.
 
-    Owns the halo exchanger and the extended arrays for one task. Timing
-    lands in regions: MPI for the halo exchange, Packing for copying the
-    owned fields into the extended arrays, FDWENO for pointwise fluxes
-    and reconstruction, Euler for the whole divergence build, SlowRhs
-    for the full call.
+    Owns the halo exchanger and the extended arrays for one task. A call
+    stacks the divergence of all fields, summed over the axes, then
+    negates it into the output in one copy. Timing lands in regions: MPI
+    for the halo exchange, Packing for copying the owned fields into the
+    extended arrays, FDWENO for pointwise fluxes and reconstruction,
+    Euler for the whole divergence build, SlowRhs for the full call.
     """
 
     def __init__(self, comm, decomp, gas: GasConstants, n_chem: int,
@@ -168,26 +169,22 @@ class EulerPipeline:
         prof = self.profile
         with prof.region(Region.SLOW_RHS):
             with prof.region(Region.EULER):
-                div = self._divergence(state)
+                with prof.region(Region.PACKING):
+                    extend(state_fields(state), self.ext)
+                with prof.region(Region.MPI):
+                    self.exchanger.begin(self.ext, poison=self.debug).finish()
+                # axis terms accumulated in x, y, z order
+                div = None
+                for axis, (w, h) in enumerate(zip(self.ext,
+                                                  self.decomp.grid.spacing)):
+                    with prof.region(Region.FDWENO):
+                        face = _face_flux(w, *self._pointwise(w, axis), WENO_EPS)
+                    term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
+                    div = term if div is None else div + term
             out = state.clone_empty()
             for o, d in zip(state_fields(out), div):
                 np.multiply(d, -1.0, out=o)
         return out
-
-    def _divergence(self, state: ManyVector):
-        prof = self.profile
-        with prof.region(Region.PACKING):
-            extend(state_fields(state), self.ext)
-        with prof.region(Region.MPI):
-            self.exchanger.begin(self.ext, poison=self.debug).finish()
-        # conservative difference, axis terms accumulated in x, y, z order
-        div = None
-        for axis, (w, h) in enumerate(zip(self.ext, self.decomp.grid.spacing)):
-            with prof.region(Region.FDWENO):
-                face = _face_flux(w, *self._pointwise(w, axis), WENO_EPS)
-            term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
-            div = term if div is None else div + term
-        return div
 
     def _pointwise(self, w, axis):
         """Flux along `axis` and |v_axis| + c (with a unit field axis) of

@@ -80,6 +80,12 @@ class RunConfig:
             raise ConfigError(f"unknown boundary kind {self.bc!r}")
         if self.h_slow <= 0.0:
             raise ConfigError("h_slow must be positive")
+        if not (self.rtol >= 0.0 and self.atol > 0.0):
+            raise ConfigError("need rtol >= 0 and atol > 0")
+        if min(asdict(self.units).values()) <= 0.0:
+            raise ConfigError(f"units must be positive, got {self.units}")
+        if min(self.k1, self.k2) < 0.0:
+            raise ConfigError("rate constants k1 and k2 cannot be negative")
         if not 0.0 <= self.t_transient <= self.t_final:
             raise ConfigError("need 0 <= t_transient <= t_final")
         if self.fast_ratio < 1.0:
@@ -204,7 +210,7 @@ def apply_plan(cfg: RunConfig, row: PlanRow) -> RunConfig:
 # the SPMD worker
 
 class ReactionRhs:
-    """Fast right-hand side: the network over local cells, fluid rows zero."""
+    """Fast right-hand side: zero fluid rows, the network's rhs array as chemistry."""
 
     def __init__(self, network: SurrogateNetwork, profile):
         self.network = network
@@ -212,10 +218,9 @@ class ReactionRhs:
 
     def __call__(self, t, v):
         with self.profile.region(Region.FAST_RHS):
-            out = v.clone_empty()
-            out.fill(0.0)
-            out.arrays[5][:] = self.network.rhs(v.arrays[0], v.arrays[5])
-        return out
+            chem = self.network.rhs(v.arrays[0], v.arrays[5])
+            return ManyVector([np.zeros_like(a) for a in v.arrays[:5]] + [chem],
+                              v.global_lengths, v.comm, v.batched_reductions)
 
 
 def build_state(cfg: RunConfig, comm, decomp, n_tasks: int,
@@ -475,9 +480,11 @@ def _cmd_run(args) -> int:
     n_tasks = args.tasks
     if n_tasks < 1:
         raise ConfigError(f"task count must be positive, got {n_tasks}")
+    # a layout the grid cannot take is a config error on either transport
+    Decomposition(UniformGrid(cfg.shape, cfg.bounds), n_tasks, 0, (cfg.bc,) * 6)
     runner = run_spmd_sockets if args.transport == "sockets" else run_spmd
     results = runner(n_tasks, simulation_worker, cfg, n_tasks,
-                     not args.unfused)
+                     not args.unfused, timeout=None)
     root = results[0]
     summary = root["summary"]
     print(f"tasks={n_tasks} slow_steps={root['n_slow_steps']} "

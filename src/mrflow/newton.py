@@ -158,12 +158,13 @@ class NewtonEngine:
 
         f(t, z) evaluates the stiff right-hand side. a is the constant
         stage data, hg the step-times-diagonal coefficient, weights the
-        error weights for the convergence norm.
+        error weights for the convergence norm. A growing or non-finite
+        update norm stops the iteration at once.
         """
         fresh = False
         if self._jac_values is None:
             with self.profile.region(Region.FAST_JAC):
-                self._jac_values = self._eval_jacobian(t, z)
+                self._jac_values = self.jacobian(t, z).reshape(-1, len(self.pattern))
             self.stats.jac_evals += 1
             fresh = True
         if fresh or self._lu is None or hg != self._hg_cached:
@@ -184,6 +185,8 @@ class NewtonEngine:
             for zz, dd in zip(z.arrays, resid.arrays):
                 zz += dd
             norm = wrms_norm(resid, weights)
+            if not np.isfinite(norm):
+                break
             if norm_prev is not None:
                 if norm > 2.0 * norm_prev:
                     break
@@ -192,10 +195,10 @@ class NewtonEngine:
                 return k
             norm_prev = norm
         self.stats.failures += 1
-        was_fresh = fresh
         self.reset()
         raise ConvergenceFailure(
-            f"no convergence in {MAX_ITERS} iterations", was_fresh)
+            f"no convergence after {k} iterations (update norm {norm:.3g})",
+            fresh)
 
     def _solve_in_place(self, v):
         """v <- (I - hg*J)^-1 (-v): identity rows are negated in place;
@@ -212,10 +215,6 @@ class NewtonEngine:
         sol = block_lu_solve(self._lu, self._perm, rhs)
         for j, x in enumerate(block):
             x[...] = sol[:, j].reshape(x.shape)
-
-    def _eval_jacobian(self, t, z):
-        vals = self.jacobian(t, z)
-        return vals.reshape(-1, len(self.pattern))
 
     def _factor(self, hg: float):
         self._lu = None

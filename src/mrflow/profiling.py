@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class Region(str, Enum):
     SETUP = "setup"
@@ -65,7 +67,6 @@ class Profile:
             self.seconds[region] += time.perf_counter() - t0
 
     def as_array(self):
-        import numpy as np
         return np.array([self.seconds[r] for r in REGIONS])
 
 
@@ -93,8 +94,6 @@ class ProfileSummary:
 
 def aggregate(comm, profile: Profile, n_slow_steps: int) -> ProfileSummary:
     """Combine per-task region times in one collective round."""
-    import numpy as np
-
     local = profile.as_array()
     if comm is None or comm.size == 1:
         table = local[None, :]

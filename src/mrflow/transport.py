@@ -206,14 +206,11 @@ class Communicator:
         self._coll_seq += 1
         tag = f"coll:{self._coll_seq}"
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if self.size == 1:
+        if self.rank == 0:
             result = values.copy()
-        elif self.rank == 0:
-            acc = values.copy()
             for r in range(1, self.size):
                 part = np.frombuffer(self.recv(r, tag), dtype=np.float64)
-                acc = combine(acc, part.reshape(values.shape))
-            result = acc
+                result = combine(result, part.reshape(values.shape))
             blob = result.tobytes()
             for r in range(1, self.size):
                 self.send(r, tag, blob)
@@ -240,11 +237,16 @@ class Communicator:
 # ---------------------------------------------------------------------------
 # SPMD runners
 
-def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
+def _remaining(deadline):
+    """Seconds left until a time.monotonic() deadline; None waits forever."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def run_spmd(n_tasks: int, fn, *args, timeout: float | None = 900.0):
     """Run fn(comm, *args) on n_tasks in-process workers; return per-rank results.
 
     The first worker exception aborts the group and is re-raised. The
-    whole group shares one `timeout` deadline.
+    whole group shares one `timeout` deadline; None sets no deadline.
     """
     transport = ChannelTransport(n_tasks)
     results = [None] * n_tasks
@@ -262,9 +264,9 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float = 900.0):
                for r in range(n_tasks)]
     for t in threads:
         t.start()
-    deadline = time.monotonic() + timeout
+    deadline = None if timeout is None else time.monotonic() + timeout
     for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
+        t.join(timeout=_remaining(deadline))
     alive = [r for r, t in enumerate(threads) if t.is_alive()]
     if alive:
         transport.abort()
@@ -301,7 +303,7 @@ def _exited(procs, rank: int) -> TransportError:
                           f" {procs[rank].exitcode} before reporting a result")
 
 
-def _collect(conns, procs, deadline: float):
+def _collect(conns, procs, deadline: float | None):
     """Yield (rank, message) once per worker as each message arrives.
 
     Waits on the pipes and the process sentinels together, so a worker
@@ -312,7 +314,7 @@ def _collect(conns, procs, deadline: float):
     while pending:
         ready = connection.wait(
             [conns[r] for r in pending] + [procs[r].sentinel for r in pending],
-            timeout=max(0.0, deadline - time.monotonic()))
+            timeout=_remaining(deadline))
         if not ready:
             raise TransportError(
                 f"socket workers {pending} did not report a result before the deadline")
@@ -324,7 +326,7 @@ def _collect(conns, procs, deadline: float):
                 raise _exited(procs, r)
 
 
-def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
+def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float | None = 300.0):
     """Run fn(comm, *args) on n_tasks worker processes wired with sockets.
 
     The parent makes one connected socket pair per pair of ranks before
@@ -332,8 +334,8 @@ def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
     must be picklable (module-level). Each worker talks to the parent
     over its own pipe; a worker failure raises with its repr, a worker
     that exits without reporting raises with its exit code, and the
-    whole group shares one `timeout` deadline. No worker outlives the
-    call.
+    whole group shares one `timeout` deadline (None: no deadline). No
+    worker outlives the call.
     """
     ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
     ends = [{} for _ in range(n_tasks)]  # ends[rank][peer] -> socket
@@ -345,7 +347,7 @@ def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float = 300.0):
     procs = [ctx.Process(target=_socket_child,
                          args=(r, n_tasks, pipes[r][1], ends, fn, args))
              for r in range(n_tasks)]
-    deadline = time.monotonic() + timeout
+    deadline = None if timeout is None else time.monotonic() + timeout
     for p in procs:
         p.start()
     for own in ends:  # the workers own the ends now; see _socket_child

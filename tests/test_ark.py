@@ -341,6 +341,17 @@ def test_adaptive_step_budget_is_enforced(monkeypatch):
                         h0=1e-12, h_max=1e-9)
 
 
+def test_adaptive_non_finite_error_estimate_fails_at_once():
+    log = []
+    with pytest.raises(SolverError, match=r"non-finite error estimate nan at "
+                                          r"t=0\.0 with h=0\.1"):
+        adaptive_evolve(_scalar_rhs(lambda t, v: np.nan * v),
+                        ManyVector([np.ones(4)]), 0.0, 1.0,
+                        bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
+                        h0=0.1, h_max=1.0, step_log=log)
+    assert log == []
+
+
 def test_adaptive_step_size_underflow_is_fatal():
     f = _scalar_rhs(lambda t, v: 0.0 * v)
     with pytest.raises(SolverError, match="underflow"):

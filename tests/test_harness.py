@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import mrflow
-from mrflow.chemistry import IEG, N_SPECIES
+from mrflow import harness
+from mrflow.chemistry import IEG, N_SPECIES, UnitSystem
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             RunConfig, _global_mean_eg, apply_plan,
                             build_state, emit_report, gather_state,
@@ -163,6 +164,13 @@ def test_load_config_missing_file():
     ("seed", -1),
     ("fast_ratio", float("inf")),   # the fixed phase would step by 0
     ("h_slow", float("nan")),
+    ("rtol", -1e-5),
+    ("atol", 0.0),                  # the momenta start at exactly 0
+    ("atol", -1e-9),
+    ("units", UnitSystem(mass=0.0)),
+    ("units", UnitSystem(time=-1.0)),
+    ("k1", -100.0),
+    ("k2", -1.0),
 ])
 def test_validate_rejects_bad_fields(field, value):
     with pytest.raises(ConfigError):
@@ -386,6 +394,32 @@ def test_cli_run_rejects_bad_task_count(tmp_path, capsys):
     ini.write_text(TINY_INI)
     assert main(["run", "--config", str(ini), "--tasks", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("transport", ["threads", "sockets"])
+def test_cli_run_passes_no_deadline(tmp_path, monkeypatch, transport):
+    seen = []
+    name = "run_spmd_sockets" if transport == "sockets" else "run_spmd"
+    real = getattr(harness, name)
+
+    def runner(*args, **kw):
+        seen.append(kw)
+        return real(*args, **kw)
+    monkeypatch.setattr(harness, name, runner)
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    assert main(["run", "--config", str(ini), "--transport", transport]) == 0
+    assert seen == [{"timeout": None}]
+
+
+@pytest.mark.parametrize("transport", ["threads", "sockets"])
+def test_cli_thin_layout_is_config_error(tmp_path, capsys, transport):
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("= 8\n", "= 4\n"))
+    assert main(["run", "--config", str(ini), "--tasks", "2",
+                 "--transport", transport]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "thinner than the 3-cell halo" in err
 
 
 def test_cli_rejects_dirichlet_as_config_error(tmp_path, capsys):

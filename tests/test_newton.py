@@ -299,3 +299,18 @@ def test_divergence_raises_with_freshness_flag():
     assert eng.stats.failures == 1
     # cache was dropped: the next call re-evaluates
     assert eng._jac_values is None
+
+
+def test_non_finite_update_norm_fails_at_once():
+    def nan_rhs(t, v):
+        out = v.clone_empty()
+        out.fill(np.nan)
+        return out
+
+    shape = (2, 1, 1)
+    z = _state(shape, 1)
+    eng = NewtonEngine(lambda t, v: np.zeros(v.arrays[0].shape + (1,)),
+                       ((5, 5),), nb=6, n_cells=int(np.prod(shape)))
+    with pytest.raises(ConvergenceFailure, match="after 1 iterations"):
+        eng.solve(nan_rhs, 0.0, z, z.copy(), 0.5, error_weights(z, 1e-5, 1e-9))
+    assert (eng.stats.iterations, eng.stats.failures) == (1, 1)

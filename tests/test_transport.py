@@ -242,6 +242,11 @@ def test_abort_delivers_queued_messages_first():
         transport.send(0, 1, "late", b"y")
 
 
+@pytest.mark.parametrize("runner", [run_spmd, run_spmd_sockets])
+def test_runners_take_no_deadline(runner):
+    assert runner(2, _sum_worker, timeout=None) == [3.0, 3.0]
+
+
 def test_socket_worker_failure():
     with pytest.raises(TransportError, match="socket worker"):
         run_spmd_sockets(2, _failing_worker)
