@@ -69,7 +69,7 @@ def pressure(gas: GasConstants, rho, mx, my, mz, et):
     """p = (gamma - 1) * (et - |m|^2 / (2 rho)); nonpositive internal
     energy raises EosDomainError."""
     internal = et - kinetic_energy(rho, mx, my, mz)
-    bad = internal <= 0.0
+    bad = np.logical_not(internal > 0.0)  # NaN fails too
     if np.any(bad):
         index = np.unravel_index(np.argmax(bad), np.shape(bad))
         value = float(np.asarray(internal)[index])

@@ -1,11 +1,10 @@
 """Point-to-point messaging and collectives for SPMD worker groups.
 
-Two interchangeable transports move bytes between tasks: in-process
-channel queues (the default; one Python thread per task) and socket
-pairs between worker processes. Both expose the same primitives, and
-collectives are built on top of the point-to-point layer so reduction
-results are bit-identical across transports: partials are always
-combined in rank order 0..n-1.
+Every group is wired with one socket pair per pair of tasks, made before
+its tasks start as threads (`run_spmd`) or forked processes
+(`run_spmd_sockets`). Collectives sit on the point-to-point layer and
+combine partials in rank order 0..n-1, so results are bit-identical
+across runners.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ class ProtocolError(TransportError):
     """Out-of-order or mismatched message traffic."""
 
 
-class WorkerAborted(TransportError):
-    """Another task in the group failed; this task was asked to stop."""
-
-
 @dataclass
 class TrafficCounters:
     sends: int = 0
@@ -50,67 +45,61 @@ class TrafficCounters:
         return (self.sends, self.recvs, self.bytes_sent)
 
 
-# ---------------------------------------------------------------------------
-# mailboxes: one queue per (receiver, sender) pair of (tag, payload) entries
-
-def _take(box: queue.Queue, dst: int, src: int, tag) -> bytes:
-    """The next message of one mailbox, which must carry `tag`. An error
-    entry (None, exception) is raised when reached, after every message
-    queued before it, and stays in place for later calls."""
-    try:
-        got_tag, payload = box.get(timeout=DEFAULT_TIMEOUT)
-    except queue.Empty:
-        raise TransportError(
-            f"recv timeout: task {dst} waiting on {src} tag={tag!r}") from None
-    if got_tag is None:
-        box.put((None, payload))
-        raise type(payload)(*payload.args)
-    if got_tag != str(tag):
-        raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
-    return payload
+def _read_exact(sock, n):
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            return None
+        buf += chunk
+    return buf
 
 
-# ---------------------------------------------------------------------------
-# in-process channel transport
-
-class ChannelTransport:
-    """Mailbox queues between threads of one process. boxes[dst][src]."""
-
-    def __init__(self, size: int):
-        self._boxes = [[queue.Queue() for _ in range(size)] for _ in range(size)]
-        self._abort = threading.Event()
-
-    def abort(self):
-        """Fail later sends, and each recv once its mailbox is drained."""
-        self._abort.set()
-        for row in self._boxes:
-            for box in row:
-                box.put((None, WorkerAborted("group aborted")))
-
-    def send(self, src: int, dst: int, tag, payload: bytes):
-        if self._abort.is_set():
-            raise WorkerAborted("group aborted")
-        self._boxes[dst][src].put((str(tag), payload))
-
-    def recv(self, dst: int, src: int, tag) -> bytes:
-        return _take(self._boxes[dst][src], dst, src, tag)
+def _socket_pairs(n_tasks: int) -> list[dict]:
+    """ends[rank][peer]: one connected socket pair per pair of ranks."""
+    ends = [{} for _ in range(n_tasks)]
+    for a in range(n_tasks):
+        for b in range(a + 1, n_tasks):
+            ends[a][b], ends[b][a] = socket.socketpair()
+    return ends
 
 
 # ---------------------------------------------------------------------------
-# socket transport (multi-process)
+# communicator: per-task facade used by the rest of the code
 
-class SocketEndpoint:
-    """One task's ends of a fully connected mesh of stream sockets.
+_REDUCE_OPS = {
+    "sum": np.add,
+    "min": np.minimum,
+    "max": np.maximum,
+}
 
-    A background thread per peer drains the socket into local queues, so
-    recv semantics match ChannelTransport exactly. When a peer's
-    connection ends, its thread queues an error entry naming that peer.
+
+class Communicator:
+    """One task's messaging and collectives over its own socket ends.
+
+    conns maps each peer rank to this task's end of their pair, so a
+    1-task communicator is `Communicator(0, 1, {})`. A thread per peer
+    drains its socket into that peer's mailbox; a send to this task
+    itself goes straight into its own. When a connection ends, its
+    thread queues an error entry naming the peer after every message
+    before it; every later recv from that peer raises it.
+
+    Collective results are combined in rank order on task 0 and
+    broadcast, so every task sees bit-identical values regardless of
+    runner or scheduling. Each collective call counts as exactly one
+    reduction round on the ledger a caller assigns to `ledger` (none by
+    default), no matter how many scalars it carries. counters tallies
+    this task's messages.
     """
 
     def __init__(self, rank: int, size: int, conns: dict):
         self.rank = rank
+        self.size = size
+        self.ledger = None
+        self.counters = TrafficCounters()
+        self._coll_seq = 0
         self._conns = conns  # peer rank -> socket
-        self._boxes = [queue.Queue() for _ in range(size)]
+        self._boxes = [queue.Queue() for _ in range(size)]  # (tag, payload)
         for peer, sock in conns.items():
             threading.Thread(target=self._pump, args=(peer, sock),
                              daemon=True).start()
@@ -129,20 +118,8 @@ class SocketEndpoint:
         self._boxes[peer].put((None, TransportError(
             f"task {self.rank}: connection to task {peer} closed")))
 
-    def send(self, src: int, dst: int, tag, payload: bytes):
-        assert src == self.rank
-        tag_raw = str(tag).encode("utf-8")
-        if dst == self.rank:
-            self._boxes[self.rank].put((str(tag), payload))
-        else:
-            frame = _FRAME_HEADER.pack(len(tag_raw), len(payload)) + tag_raw + payload
-            self._conns[dst].sendall(frame)
-
-    def recv(self, dst: int, src: int, tag) -> bytes:
-        assert dst == self.rank
-        return _take(self._boxes[src], dst, src, tag)
-
     def close(self):
+        """Shut down and close every end; each pump then stops."""
         for sock in self._conns.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
@@ -150,54 +127,34 @@ class SocketEndpoint:
                 pass
             sock.close()
 
-
-def _read_exact(sock, n):
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-# ---------------------------------------------------------------------------
-# communicator: per-task facade used by the rest of the code
-
-_REDUCE_OPS = {
-    "sum": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-class Communicator:
-    """One task's handle for messaging and collectives.
-
-    Collective results are combined in rank order on task 0 and
-    broadcast, so every task sees bit-identical values regardless of
-    transport or scheduling. Each collective call counts as exactly one
-    reduction round on the ledger a caller assigns to `ledger` (none by
-    default), no matter how many scalars it carries. counters tallies
-    this task's messages, whatever the transport.
-    """
-
-    def __init__(self, transport, rank: int, size: int):
-        self.transport = transport
-        self.rank = rank
-        self.size = size
-        self.ledger = None
-        self.counters = TrafficCounters()
-        self._coll_seq = 0
-
     # point-to-point ----------------------------------------------------
     def send(self, dst: int, tag, payload: bytes):
-        self.transport.send(self.rank, dst, tag, payload)
+        if dst == self.rank:
+            self._boxes[dst].put((str(tag), payload))
+        else:
+            tag_raw = str(tag).encode("utf-8")
+            frame = _FRAME_HEADER.pack(len(tag_raw), len(payload)) + tag_raw + payload
+            try:
+                self._conns[dst].sendall(frame)
+            except OSError:
+                raise TransportError(f"task {self.rank}: connection to task"
+                                     f" {dst} closed") from None
         self.counters.sends += 1
         self.counters.bytes_sent += len(payload)
 
     def recv(self, src: int, tag) -> bytes:
-        payload = self.transport.recv(self.rank, src, tag)
+        """The next message from src, which must carry `tag`."""
+        box = self._boxes[src]
+        try:
+            got_tag, payload = box.get(timeout=DEFAULT_TIMEOUT)
+        except queue.Empty:
+            raise TransportError(f"recv timeout: task {self.rank} waiting on"
+                                 f" {src} tag={tag!r}") from None
+        if got_tag is None:
+            box.put((None, payload))
+            raise type(payload)(*payload.args)
+        if got_tag != str(tag):
+            raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
         self.counters.recvs += 1
         return payload
 
@@ -243,40 +200,46 @@ def _remaining(deadline):
 
 
 def run_spmd(n_tasks: int, fn, *args, timeout: float | None = 900.0):
-    """Run fn(comm, *args) on n_tasks in-process workers; return per-rank results.
+    """Run fn(comm, *args) on n_tasks threads wired like the processes
+    of `run_spmd_sockets`; return per-rank results.
 
-    The first worker exception aborts the group and is re-raised. The
-    whole group shares one `timeout` deadline; None sets no deadline.
+    A task's ends close when fn returns or raises, after its failure is
+    recorded, so its peers' receives fail at once naming it. The first
+    failure recorded is re-raised: of two tasks failing independently,
+    the first to fail, not the lowest rank. The group shares one
+    `timeout` deadline (None: no deadline); every end is closed on the
+    way out, so a timeout or an interrupt frees receives from peers.
     """
-    transport = ChannelTransport(n_tasks)
+    comms = [Communicator(rank, n_tasks, own)
+             for rank, own in enumerate(_socket_pairs(n_tasks))]
     results = [None] * n_tasks
     failures = []
 
-    def work(rank):
-        comm = Communicator(transport, rank, n_tasks)
+    def work(comm):
         try:
-            results[rank] = fn(comm, *args)
-        except BaseException as exc:  # noqa: BLE001 - must unblock siblings
-            failures.append((rank, exc))
-            transport.abort()
+            results[comm.rank] = fn(comm, *args)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run_spmd
+            failures.append(exc)
+        finally:
+            comm.close()
 
-    threads = [threading.Thread(target=work, args=(r,), name=f"task-{r}")
-               for r in range(n_tasks)]
-    for t in threads:
-        t.start()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    for t in threads:
-        t.join(timeout=_remaining(deadline))
-    alive = [r for r, t in enumerate(threads) if t.is_alive()]
-    if alive:
-        transport.abort()
-        raise TransportError(
-            f"worker group timed out after {timeout:g} s; ranks {alive} still running")
+    threads = [threading.Thread(target=work, args=(c,), name=f"task-{c.rank}")
+               for c in comms]
+    try:
+        for t in threads:
+            t.start()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for t in threads:
+            t.join(timeout=_remaining(deadline))
+        alive = [r for r, t in enumerate(threads) if t.is_alive()]
+        if alive:
+            raise TransportError(
+                f"worker group timed out after {timeout:g} s; ranks {alive} still running")
+    finally:
+        for comm in comms:
+            comm.close()
     if failures:
-        rank, exc = min(failures, key=lambda f: f[0])
-        if isinstance(exc, WorkerAborted) and len(failures) > 1:
-            rank, exc = [f for f in failures if not isinstance(f[1], WorkerAborted)][0]
-        raise exc
+        raise failures[0]
     return results
 
 
@@ -286,15 +249,13 @@ def _socket_child(rank, n_tasks, conn, ends, fn, args):
         if r != rank:
             for sock in own.values():
                 sock.close()
-    endpoint = SocketEndpoint(rank, n_tasks, ends[rank])
-    comm = Communicator(endpoint, rank, n_tasks)
+    comm = Communicator(rank, n_tasks, ends[rank])
     try:
-        result = fn(comm, *args)
-        conn.send((True, result))
+        conn.send((True, fn(comm, *args)))
     except BaseException as exc:  # noqa: BLE001
         conn.send((False, repr(exc)))
     finally:
-        endpoint.close()
+        comm.close()
 
 
 def _exited(procs, rank: int) -> TransportError:
@@ -329,19 +290,16 @@ def _collect(conns, procs, deadline: float | None):
 def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float | None = 300.0):
     """Run fn(comm, *args) on n_tasks worker processes wired with sockets.
 
-    The parent makes one connected socket pair per pair of ranks before
-    it starts the workers, and each worker keeps only its own ends. fn
-    must be picklable (module-level). Each worker talks to the parent
-    over its own pipe; a worker failure raises with its repr, a worker
-    that exits without reporting raises with its exit code, and the
-    whole group shares one `timeout` deadline (None: no deadline). No
-    worker outlives the call.
+    The parent makes one connected socket pair per pair of ranks, as
+    `run_spmd` does, before it starts the workers, and each worker keeps
+    only its own ends. fn must be picklable (module-level). Each worker
+    talks to the parent over its own pipe; a worker failure raises with
+    its repr, a worker that exits without reporting raises with its exit
+    code, and the whole group shares one `timeout` deadline (None: no
+    deadline). No worker outlives the call.
     """
     ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-    ends = [{} for _ in range(n_tasks)]  # ends[rank][peer] -> socket
-    for a in range(n_tasks):
-        for b in range(a + 1, n_tasks):
-            ends[a][b], ends[b][a] = socket.socketpair()
+    ends = _socket_pairs(n_tasks)
     pipes = [ctx.Pipe() for _ in range(n_tasks)]
     conns = [parent_end for parent_end, _ in pipes]
     procs = [ctx.Process(target=_socket_child,

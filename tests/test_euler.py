@@ -39,6 +39,11 @@ def test_pressure_domain_error():
     with pytest.raises(EosDomainError, match="-0.5") as info:
         pressure(GAS, one, zero, zero, zero, et)
     assert info.value.index == (1, 0) and info.value.value == -0.5
+    # NaN fails the check too
+    with pytest.raises(EosDomainError, match="nan") as info:
+        pressure(GAS, np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                 np.array([1.0, np.nan, 1.0]))
+    assert info.value.index == (1,) and np.isnan(info.value.value)
 
 
 def test_flux_matches_direct_formulas():
@@ -253,12 +258,12 @@ def test_rhs_matches_per_cell_stencil_oracle():
             err_msg=str(cell))
 
 
-def _bad_cell_worker(comm, shape, bcs, bad):
+def _bad_cell_worker(comm, shape, bcs, bad, value=-0.25):
     d = Decomposition(UniformGrid(shape, ((0.0, 1.0),) * 3), comm.size,
                       comm.rank, bcs)
     state = _state(d.local_shape, 0, {"rho": 1.0, "et": 2.0})
     if bad is not None and all(lo <= i < hi for i, (lo, hi) in zip(bad, d.extents)):
-        state.arrays[4][tuple(i - lo for i, (lo, _) in zip(bad, d.extents))] = -0.25
+        state.arrays[4][tuple(i - lo for i, (lo, _) in zip(bad, d.extents))] = value
     EulerPipeline(comm, d, GAS, 0)(0.0, state)
 
 
@@ -269,6 +274,14 @@ def test_eos_error_names_rank_and_global_cell():
                        match=r"^rank 1: nonpositive internal energy -0\.25 "
                              r"at global cell \(11, 2, 3\)$"):
         run_spmd(2, _bad_cell_worker, (16, 6, 6), (PERIODIC,) * 6, (11, 2, 3))
+
+
+def test_eos_error_names_nan_cell():
+    with pytest.raises(EosDomainError,
+                       match=r"^rank 1: nonpositive internal energy nan "
+                             r"at global cell \(11, 2, 3\)$"):
+        run_spmd(2, _bad_cell_worker, (16, 6, 6), (PERIODIC,) * 6, (11, 2, 3),
+                 np.nan)
 
 
 def test_debug_poison_catches_unfilled_ghost_slab(monkeypatch):

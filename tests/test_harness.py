@@ -13,6 +13,7 @@ import pytest
 
 import mrflow
 from mrflow import harness
+from mrflow.ark import SolverError
 from mrflow.chemistry import IEG, N_SPECIES, UnitSystem
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             RunConfig, _global_mean_eg, apply_plan,
@@ -22,6 +23,7 @@ from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             write_profile_csv)
 from mrflow.mesh import Decomposition, UniformGrid
 from mrflow.profiling import Profile, Region, aggregate
+from mrflow.testsuite import ConservationMonitor
 from mrflow.transport import run_spmd
 from mrflow.vectors import read_snapshot
 
@@ -135,6 +137,15 @@ def test_load_config_rejects_bad_value(tmp_path):
     path.write_text("[time]\nh_slow = banana\n")
     with pytest.raises(ConfigError, match="bad value"):
         load_config(str(path))
+
+
+def test_malformed_config_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[grid\nnx = 8\n")
+    with pytest.raises(ConfigError, match="malformed config"):
+        load_config(str(ini))
+    assert main(["run", "--config", str(ini)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_config_value(tmp_path, capsys):
@@ -312,9 +323,9 @@ def test_read_profile_csv_rejects_header_only(tmp_path):
         read_profile_csv(str(path))
 
 
-def test_emit_report_recomputes_efficiency(tmp_path):
-    times = {(80, "fused"): 1.0, (80, "unfused"): 1.01,
-             (640, "fused"): 1.25, (640, "unfused"): 1.11}
+def _report_inputs(tmp_path, times):
+    """A profile CSV per (tasks, mode) key of `times`, whose value is the
+    evolution seconds; -> the paths."""
     inputs = []
     for (tasks, mode), secs in times.items():
         p = Profile()
@@ -325,6 +336,13 @@ def test_emit_report_recomputes_efficiency(tmp_path):
         path = str(tmp_path / f"{mode}-{tasks}.csv")
         write_profile_csv(path, s, mode)
         inputs.append(path)
+    return inputs
+
+
+def test_emit_report_recomputes_efficiency(tmp_path):
+    times = {(80, "fused"): 1.0, (80, "unfused"): 1.01,
+             (640, "fused"): 1.25, (640, "unfused"): 1.11}
+    inputs = _report_inputs(tmp_path, times)
     out = str(tmp_path / "scaling.csv")
     plot = str(tmp_path / "plot_scaling.py")
     effs = emit_report(inputs, out, plot)
@@ -437,6 +455,26 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_report_prints_efficiencies(tmp_path, capsys):
+    inputs = _report_inputs(tmp_path, {(80, "fused"): 1.0, (640, "fused"): 1.25})
+    out, plot = str(tmp_path / "scaling.csv"), str(tmp_path / "plot.py")
+    assert main(["report", "--inputs", *inputs, "--out", out, "--plot", plot]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tasks=80 mode=fused efficiency=1.00",
+        "tasks=640 mode=fused efficiency=0.80",
+        f"wrote {out} and {plot}"]
+
+
+def test_cli_solver_error_exits_3(tmp_path, monkeypatch, capsys):
+    def runner(*args, **kw):
+        raise SolverError("step size underflow")
+    monkeypatch.setattr(harness, "run_spmd", runner)
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    assert main(["run", "--config", str(ini)]) == 3
+    assert capsys.readouterr().err == "mrflow: solver error: step size underflow\n"
+
+
 def test_cli_report_missing_input_is_io_error(tmp_path, capsys):
     assert main(["report", "--inputs", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out.csv"),
@@ -457,6 +495,27 @@ def test_cli_report_malformed_csv_is_config_error(tmp_path, capsys, text):
                  "--plot", str(tmp_path / "plot.py")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(bad) in err
+
+
+def _energy_drift(tmp_path, reactions):
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI + f"seed = 11\nreactions = {reactions}\n")
+    snap = str(tmp_path / "final.mv")
+    assert main(["run", "--config", str(ini), "--snapshot", snap]) == 0
+    cfg = _tiny_cfg(seed=11)
+    grid = UniformGrid(cfg.shape, cfg.bounds)
+    initial = build_state(cfg, None, Decomposition(grid, 1, 0, (cfg.bc,) * 6),
+                          1, True).arrays
+    final = [a.reshape(x.shape) for a, x in zip(read_snapshot(snap), initial)]
+    monitor = ConservationMonitor(1.0)
+    return monitor.relative_drift(monitor.totals(initial),
+                                  monitor.totals(final))["energy"]
+
+
+def test_cli_reactions_off_conserves_energy(tmp_path):
+    # with reactions off the chemistry hands back e_t exactly as it got it
+    assert _energy_drift(tmp_path, "false") == 0.0
+    assert _energy_drift(tmp_path, "true") > 1e-12
 
 
 # ------------------------------------------------------------- determinism

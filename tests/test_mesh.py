@@ -8,7 +8,7 @@ from mrflow.mesh import (HALO_DEPTH, NEUMANN, PERIODIC, REFLECT,
                          apply_boundary, decode_halo_message, dims_create,
                          encode_halo_message, extend, extended_arrays,
                          local_extents)
-from mrflow.transport import ChannelTransport, Communicator, ProtocolError, run_spmd
+from mrflow.transport import Communicator, ProtocolError, run_spmd
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 
@@ -141,7 +141,7 @@ def test_periodic_exchange_matches_global_oracle(n_tasks):
 
 
 def _self_comm():
-    return Communicator(ChannelTransport(1), 0, 1)
+    return Communicator(0, 1, {})
 
 
 def test_exchange_protocol_errors():

@@ -1,4 +1,4 @@
-"""In-process message passing: collectives, counters, failure modes."""
+"""Message passing over socket pairs: collectives, counters, failure modes."""
 
 import multiprocessing
 import os
@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from mrflow import transport
 from mrflow.harness import RunConfig, simulation_worker
-from mrflow.transport import (ChannelTransport, Communicator, ProtocolError,
-                              SocketEndpoint, TransportError, WorkerAborted,
+from mrflow.transport import (Communicator, ProtocolError, TransportError,
                               run_spmd, run_spmd_sockets)
 from mrflow.vectors import ReductionLedger
 
@@ -104,12 +104,16 @@ def test_point_to_point_and_can_recv():
 
 
 def test_tag_mismatch_is_protocol_error():
-    transport = ChannelTransport(2)
-    a = Communicator(transport, 0, 2)
-    b = Communicator(transport, 1, 2)
-    a.send(1, "right", b"x")
+    comm = Communicator(0, 1, {})
+    comm.send(0, "right", b"x")
     with pytest.raises(ProtocolError):
-        b.recv(0, "wrong")
+        comm.recv(0, "wrong")
+
+
+def test_recv_timeout_is_transport_error(monkeypatch):
+    monkeypatch.setattr(transport, "DEFAULT_TIMEOUT", 0.2)
+    with pytest.raises(TransportError, match=r"recv timeout: task \d waiting on \d"):
+        Communicator(0, 1, {}).recv(0, "never")
 
 
 def test_worker_exception_propagates():
@@ -150,14 +154,14 @@ def test_group_timeout_is_one_shared_deadline():
         release.set()
 
 
-def _recv_within(transport, dst, src, tag, seconds):
-    """What transport.recv returned or raised, or None if it was still
+def _recv_within(comm, src, tag, seconds):
+    """What comm.recv returned or raised, or None if it was still
     blocked after `seconds`."""
     outcome = []
 
     def wait():
         try:
-            outcome.append(transport.recv(dst, src, tag))
+            outcome.append(comm.recv(src, tag))
         except TransportError as exc:
             outcome.append(exc)
     threading.Thread(target=wait, daemon=True).start()
@@ -168,27 +172,41 @@ def _recv_within(transport, dst, src, tag, seconds):
 
 
 def test_closed_socket_peer_fails_recv_fast():
-    # no processes: two endpoints on a socketpair, one of them shut down
+    # no processes: two communicators on a socketpair, one of them closed
     a, b = socket.socketpair()
-    survivor = SocketEndpoint(0, 2, {1: a})
-    peer = SocketEndpoint(1, 2, {0: b})
-    peer.send(1, 0, "first", b"one")
-    peer.send(1, 0, "second", b"two")
+    survivor = Communicator(0, 2, {1: a})
+    peer = Communicator(1, 2, {0: b})
+    peer.send(0, "first", b"one")
+    peer.send(0, "second", b"two")
     peer.close()
     try:
         # what was sent before the shutdown is still delivered, in order
-        assert survivor.recv(0, 1, "first") == b"one"
-        assert survivor.recv(0, 1, "second") == b"two"
+        assert survivor.recv(1, "first") == b"one"
+        assert survivor.recv(1, "second") == b"two"
         start = time.monotonic()
-        got = _recv_within(survivor, 0, 1, "third", 1.0)
+        got = _recv_within(survivor, 1, "third", 1.0)
         assert isinstance(got, TransportError), got
         assert str(got) == "task 0: connection to task 1 closed"
         assert time.monotonic() - start < 1.0
         # and every later recv from that peer fails the same way
-        again = _recv_within(survivor, 0, 1, "fourth", 1.0)
+        again = _recv_within(survivor, 1, "fourth", 1.0)
         assert str(again) == "task 0: connection to task 1 closed"
     finally:
         survivor.close()
+
+
+def test_send_to_closed_peer_is_transport_error():
+    a, b = socket.socketpair()
+    sender = Communicator(0, 2, {1: a})
+    Communicator(1, 2, {0: b}).close()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TransportError,
+                           match=r"^task 0: connection to task 1 closed$"):
+            sender.send(1, "late", b"y")
+        assert time.monotonic() - start < 1.0
+    finally:
+        sender.close()
 
 
 def _socket_inodes(pid):
@@ -204,7 +222,7 @@ def _socket_inodes(pid):
 
 
 def _report_ends(comm):
-    socks = comm.transport._conns.values()
+    socks = comm._conns.values()
     own = {os.fstat(s.fileno()).st_ino for s in socks}
     # the parent closes its copies once every worker has started
     deadline = time.monotonic() + 5.0
@@ -230,21 +248,38 @@ def test_socket_workers_hold_only_their_own_ends():
         assert timeouts == [None, None]
 
 
-def test_abort_delivers_queued_messages_first():
-    transport = ChannelTransport(2)
-    transport.send(1, 0, "queued", b"x")
-    transport.abort()
-    assert transport.recv(0, 1, "queued") == b"x"
-    for _ in range(2):
-        assert isinstance(_recv_within(transport, 0, 1, "next", 1.0),
-                          WorkerAborted)
-    with pytest.raises(WorkerAborted):
-        transport.send(0, 1, "late", b"y")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_thread_runs_leave_no_sockets_or_threads():
+    sockets, threads = _socket_inodes("self"), threading.active_count()
+    for _ in range(5):
+        assert run_spmd(4, _sum_worker) == [10.0] * 4
+        with pytest.raises(RuntimeError, match="child failed"):
+            run_spmd(4, _failing_worker)
+
+    def leaked():
+        return _socket_inodes("self") - sockets, threading.active_count() > threads
+    deadline = time.monotonic() + 1.0
+    while leaked() != (set(), False) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert leaked() == (set(), False)
 
 
 @pytest.mark.parametrize("runner", [run_spmd, run_spmd_sockets])
 def test_runners_take_no_deadline(runner):
     assert runner(2, _sum_worker, timeout=None) == [3.0, 3.0]
+
+
+def _sleeper(comm):
+    time.sleep(60.0)
+
+
+def test_socket_group_deadline():
+    start = time.monotonic()
+    with pytest.raises(TransportError,
+                       match="did not report a result before the deadline"):
+        run_spmd_sockets(2, _sleeper, timeout=1.0)
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
 
 
 def test_socket_worker_failure():

@@ -181,6 +181,16 @@ def test_snapshot_bad_magic(tmp_path):
         read_snapshot(path)
 
 
+def test_snapshot_rejects_element_width_4(tmp_path):
+    path = tmp_path / "narrow.bin"
+    write_snapshot(path, [np.arange(8.0)])
+    data = bytearray(path.read_bytes())
+    data[12:16] = (4).to_bytes(4, "little")   # the width word after the count
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unsupported element width 4"):
+        read_snapshot(path)
+
+
 def test_snapshot_truncated(tmp_path):
     path = tmp_path / "cut.bin"
     write_snapshot(path, [np.arange(8.0), np.arange(3.0)])
