@@ -12,7 +12,9 @@ once per pipeline:
   faces -> difference
 
 The reconstruction reads the six stencil positions as shifted views of
-the extended array.
+the extended array, one tile of faces at a time so that its temporaries
+stay in cache: a tile holds as many faces as fit in TILE_BYTES, at one
+face row of states each, and at least one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ IRHO, IMX, IMY, IMZ, IET, ICHEM = 0, 1, 2, 3, 4, 5
 WENO_EPS = 1e-6
 # optimal linear weights for the left-biased face reconstruction
 _W_IDEAL = (0.1, 0.6, 0.3)
+TILE_BYTES = 512 * 1024  # reconstruction tile budget, in bytes of states
 
 
 class EosDomainError(RuntimeError):
@@ -122,8 +125,19 @@ def _face_flux(w, f, lam, eps):
     each side, so face i - 1/2 of owned cell i reads extended cells
     i..i+5: each stencil position is one shifted view, and the local
     Lax-Friedrichs speed is the running maximum over six of them.
+
+    More faces than max(1, TILE_BYTES // w[0].nbytes) run in tiles of
+    that many, from views w[s:e+5], f[s:e+5], lam[s:e+5] into faces s:e
+    of one output; each element gets the same operations, bit for bit.
     """
     n = len(lam) - 5
+    tile = max(1, TILE_BYTES // w[0].nbytes)
+    if tile < n:
+        out = np.empty((n,) + f.shape[1:])
+        for s in range(0, n, tile):
+            e = min(s + tile, n)
+            out[s:e] = _face_flux(w[s:e + 5], f[s:e + 5], lam[s:e + 5], eps)
+        return out
     speed = lam[:n]
     for k in range(1, 6):
         speed = np.maximum(speed, lam[k:k + n])

@@ -143,11 +143,17 @@ class Communicator:
         self.counters.bytes_sent += len(payload)
 
     def recv(self, src: int, tag) -> bytes:
-        """The next message from src, which must carry `tag`."""
+        """The next message from src, which must carry `tag`. Only an
+        earlier send of this task fills its own box, so a receive from
+        itself fails at once when the box is empty."""
         box = self._boxes[src]
         try:
-            got_tag, payload = box.get(timeout=DEFAULT_TIMEOUT)
+            got_tag, payload = (box.get_nowait() if src == self.rank
+                                else box.get(timeout=DEFAULT_TIMEOUT))
         except queue.Empty:
+            if src == self.rank:
+                raise ProtocolError(f"task {src}: receive from itself with no"
+                                    f" message sent, tag={tag!r}") from None
             raise TransportError(f"recv timeout: task {self.rank} waiting on"
                                  f" {src} tag={tag!r}") from None
         if got_tag is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrflow.euler import (EosDomainError, EulerPipeline, GasConstants,
-                          WENO_EPS, cfl_time_step, flux, pressure,
+                          TILE_BYTES, WENO_EPS, cfl_time_step, flux, pressure,
                           sound_speed, state_fields, _face_flux, _weno5_left)
 from mrflow import mesh
 from mrflow.mesh import NEUMANN, PERIODIC, REFLECT, Decomposition, UniformGrid
@@ -135,6 +135,33 @@ def test_face_flux_consistency_on_uniform_state():
     np.testing.assert_allclose(face, f.T[:3], rtol=1e-14)
 
 
+def _untiled_face_flux(w, f, lam, eps):
+    """The split-flux reconstruction on whole shifted views, in one go."""
+    n = len(lam) - 5
+    speed = lam[:n]
+    for k in range(1, 6):
+        speed = np.maximum(speed, lam[k:k + n])
+    plus = [0.5 * (f[k:k + n] + speed * w[k:k + n]) for k in range(5)]
+    minus = [0.5 * (f[k:k + n] - speed * w[k:k + n]) for k in range(5, 0, -1)]
+    return _weno5_left(*plus, eps) + _weno5_left(*minus, eps)
+
+
+def test_face_flux_tiles_are_bitwise_untiled():
+    # 40 faces of 15 fields x 16 x 16: tiles of 17, 17 and a partial 6
+    rng = np.random.default_rng(7)
+    fields_last = (16, 16, 15, 45)
+    w = rng.uniform(0.5, 2.0, fields_last)
+    f = rng.standard_normal(fields_last) * rng.choice([1e-3, 1.0, 1e3], fields_last)
+    lam = rng.uniform(0.1, 3.0, (16, 16, 1, 45))
+    assert TILE_BYTES // w.T[0].nbytes == 17
+    for args in ((w.T, f.T, lam.T),     # fields-last memory, strided views
+                 tuple(np.ascontiguousarray(a.T) for a in (w, f, lam))):
+        got = _face_flux(*args, WENO_EPS)
+        assert got.shape == (40, 15, 16, 16)
+        diff = np.abs(got - _untiled_face_flux(*args, WENO_EPS))
+        assert diff.max() == 0.0
+
+
 def _state(shape, n_chem, fill):
     rho = np.full(shape, fill["rho"])
     mx = np.full(shape, fill.get("mx", 0.0))
@@ -258,13 +285,30 @@ def test_rhs_matches_per_cell_stencil_oracle():
             err_msg=str(cell))
 
 
-def _bad_cell_worker(comm, shape, bcs, bad, value=-0.25):
+def test_tiled_rhs_same_on_one_and_two_tasks():
+    # 15 fields: the 40-cell x axis runs in tiles of 17, 17 and 7 faces on
+    # one task and of 17 and 4 on each 20-cell half; y and z are tiled too
+    shape, n_chem = (40, 16, 16), 10
+    serial = _assemble(run_spmd(1, _rhs_worker, shape, 1, n_chem, PERIODIC),
+                       shape, n_chem)
+    halves = _assemble(run_spmd(2, _rhs_worker, shape, 2, n_chem, PERIODIC),
+                       shape, n_chem)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, halves))
+    for n_tasks in (1, 2):
+        with pytest.raises(EosDomainError,
+                           match=rf"^rank {n_tasks - 1}: nonpositive internal "
+                                 r"energy -0\.25 at global cell \(31, 5, 7\)$"):
+            run_spmd(n_tasks, _bad_cell_worker, shape, (PERIODIC,) * 6,
+                     (31, 5, 7), -0.25, n_chem)
+
+
+def _bad_cell_worker(comm, shape, bcs, bad, value=-0.25, n_chem=0):
     d = Decomposition(UniformGrid(shape, ((0.0, 1.0),) * 3), comm.size,
                       comm.rank, bcs)
-    state = _state(d.local_shape, 0, {"rho": 1.0, "et": 2.0})
+    state = _state(d.local_shape, n_chem, {"rho": 1.0, "et": 2.0})
     if bad is not None and all(lo <= i < hi for i, (lo, hi) in zip(bad, d.extents)):
         state.arrays[4][tuple(i - lo for i, (lo, _) in zip(bad, d.extents))] = value
-    EulerPipeline(comm, d, GAS, 0)(0.0, state)
+    EulerPipeline(comm, d, GAS, n_chem)(0.0, state)
 
 
 def test_eos_error_names_rank_and_global_cell():

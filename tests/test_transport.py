@@ -112,8 +112,24 @@ def test_tag_mismatch_is_protocol_error():
 
 def test_recv_timeout_is_transport_error(monkeypatch):
     monkeypatch.setattr(transport, "DEFAULT_TIMEOUT", 0.2)
-    with pytest.raises(TransportError, match=r"recv timeout: task \d waiting on \d"):
-        Communicator(0, 1, {}).recv(0, "never")
+    own, peer = socket.socketpair()    # the peer stays open and silent
+    comm = Communicator(0, 2, {1: own})
+    try:
+        with pytest.raises(TransportError, match=r"recv timeout: task 0 waiting on 1"):
+            comm.recv(1, "never")
+    finally:
+        comm.close()
+        peer.close()
+
+
+def test_self_recv_with_nothing_sent_fails_at_once():
+    before = set(threading.enumerate())
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="receive from itself"):
+        run_spmd(2, lambda c: c.recv(c.rank, "x"), timeout=5)
+    assert time.monotonic() - start < 0.5
+    assert not [t for t in set(threading.enumerate()) - before
+                if t.name.startswith("task-") and t.is_alive()]
 
 
 def test_worker_exception_propagates():
