@@ -8,14 +8,13 @@ Each task keeps one ghost-extended array per axis, shaped
 once per exchange, and the exchange and the physical boundary fills
 write the 3-deep ghost layers on either side in place.
 
-Neighbor messages use one wire format for every transport:
-  face id (1 byte) | field count (u16 LE) | slab dims (3 x u32 LE) |
-  payload (field count * prod(dims) float64 LE, C order, field-major).
+A halo message is the slab in C order as native float64 (both ends of
+a socket pair are on one host); its tag `halo:{seq}:{receiving face}:
+{nf}x{d0}x{d1}x{d2}` names the exchange, the face and the slab's shape.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ NEUMANN = "neumann"      # homogeneous: ghost = mirror
 REFLECT = "reflect"      # neumann, except face-perpendicular momentum flips
 
 BC_KINDS = (PERIODIC, NEUMANN, REFLECT)
-
-_MSG_HEADER = struct.Struct("<BH3I")
 
 
 class MeshError(ValueError):
@@ -184,22 +181,8 @@ def _slab(ext, face: int, ghost: bool) -> np.ndarray:
     return np.moveaxis(ext[start:start + HALO_DEPTH], 0, 1 + face // 2)
 
 
-def encode_halo_message(face: int, slab: np.ndarray) -> bytes:
-    nf = slab.shape[0]
-    dims = slab.shape[1:]
-    head = _MSG_HEADER.pack(face, nf, *dims)
-    return head + np.ascontiguousarray(slab, dtype="<f8").tobytes()
-
-
-def decode_halo_message(buf: bytes, expect_face: int, expect_shape) -> np.ndarray:
-    face, nf, d0, d1, d2 = _MSG_HEADER.unpack_from(buf)
-    if face != expect_face:
-        raise ProtocolError(f"halo message for face {face}, expected {expect_face}")
-    if (nf,) + (d0, d1, d2) != tuple(expect_shape):
-        raise ProtocolError(
-            f"halo slab shape {(nf, d0, d1, d2)} != expected {tuple(expect_shape)}")
-    payload = np.frombuffer(buf, dtype="<f8", offset=_MSG_HEADER.size)
-    return payload.reshape((nf, d0, d1, d2))
+def _halo_tag(seq: int, face: int, slab: np.ndarray) -> str:
+    return f"halo:{seq}:{face}:{'x'.join(map(str, slab.shape))}"
 
 
 class ExchangeHandle:
@@ -224,8 +207,8 @@ class ExchangeHandle:
         for face in sorted(pending, key=lambda f: f ^ 1):
             ghost = _slab(ext[face // 2], face, ghost=True)
             raw = self._ex.comm.recv(decomp.neighbors[face],
-                                     f"halo:{seq}:{face}")
-            ghost[...] = decode_halo_message(raw, face, ghost.shape)
+                                     _halo_tag(seq, face, ghost))
+            ghost[...] = np.frombuffer(raw).reshape(ghost.shape)
         for face in range(6):
             if decomp.neighbors[face] is None:
                 apply_boundary(ext[face // 2], face, decomp.bcs[face])
@@ -261,9 +244,9 @@ class HaloExchanger:
             dst = self.decomp.neighbors[face]
             if dst is None:
                 continue
-            dst_face = face ^ 1
-            msg = encode_halo_message(dst_face, _slab(ext[face // 2], face, False))
-            self.comm.send(dst, f"halo:{self._seq}:{dst_face}", msg)
+            owned = _slab(ext[face // 2], face, ghost=False)
+            self.comm.send(dst, _halo_tag(self._seq, face ^ 1, owned),
+                           owned.tobytes())
         return ExchangeHandle(self, ext, poison)
 
 

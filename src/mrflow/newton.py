@@ -120,13 +120,12 @@ class NewtonEngine:
     last axis over the local cells. The iteration matrix I - hg*J is
     kept (with its factorization) between calls and rebuilt only when hg
     changes or reset()/a convergence failure invalidates it. Only its
-    coupled rows are stored: see the module docstring. comm is not read:
-    the convergence norm reduces on the vectors' own communicator. The
-    iteration converges at rate * norm <= DEFAULT_CONV_COEF.
+    coupled rows are stored: see the module docstring. The convergence
+    norm reduces on the vectors' own communicator. The iteration
+    converges at rate * norm <= DEFAULT_CONV_COEF.
     """
 
-    def __init__(self, jacobian, pattern, nb: int, n_cells: int, comm=None,
-                 profile=None):
+    def __init__(self, jacobian, pattern, nb: int, n_cells: int, profile=None):
         self.jacobian = jacobian
         self.pattern = tuple(pattern)
         self.profile = profile if profile is not None else Profile()

@@ -160,7 +160,8 @@ class Communicator:
             box.put((None, payload))
             raise type(payload)(*payload.args)
         if got_tag != str(tag):
-            raise ProtocolError(f"expected tag {tag!r}, got {got_tag!r}")
+            raise ProtocolError(f"task {self.rank}: expected tag {tag!r} from"
+                                f" task {src}, got {got_tag!r}")
         self.counters.recvs += 1
         return payload
 

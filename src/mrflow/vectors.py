@@ -75,10 +75,6 @@ class ManyVector:
         return self
 
 
-def copy_of(v: ManyVector) -> ManyVector:
-    return v.copy()
-
-
 # ---------------------------------------------------------------------------
 # elementwise kernels
 

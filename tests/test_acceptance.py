@@ -313,10 +313,9 @@ def _newton_comm_worker(comm):
     y = ManyVector(arrays, global_lengths=lengths, comm=comm)
     weights = error_weights(y, 1e-5, 1e-9)
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6, n_cells=1, comm=comm)
+                       nb=6, n_cells=1)
 
-    from mrflow.vectors import copy_of
-    z = copy_of(y)
+    z = y.copy()
     before = comm.counters.snapshot()
     rounds_before = ledger.global_reduction_count
     iters = eng.solve(f, 0.0, z, y, 1e-8, weights)

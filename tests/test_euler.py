@@ -9,7 +9,7 @@ from mrflow.euler import (EosDomainError, EulerPipeline, GasConstants,
                           sound_speed, state_fields, _face_flux, _weno5_left)
 from mrflow import mesh
 from mrflow.mesh import NEUMANN, PERIODIC, REFLECT, Decomposition, UniformGrid
-from mrflow.transport import run_spmd
+from mrflow.transport import run_spmd, run_spmd_sockets
 from mrflow.vectors import ManyVector
 
 GAS = GasConstants.from_gamma(1.4)
@@ -213,6 +213,19 @@ def test_rhs_bitwise_decomposition_independent(n_tasks):
                                    n_chem, bc), shape, n_chem)
         for a, b in zip(serial, multi):
             np.testing.assert_array_equal(a, b, err_msg=bc)
+
+
+def test_rhs_with_halo_slabs_larger_than_a_socket_buffer():
+    # each x-face slab is 15 fields x 3 x 32 x 32 doubles, 368,640 bytes,
+    # above a common default socket send buffer of 212,992 bytes
+    shape, n_chem = (32, 32, 32), 10
+    serial = _assemble(run_spmd(1, _rhs_worker, shape, 1, n_chem, PERIODIC),
+                       shape, n_chem)
+    for runner in (run_spmd, run_spmd_sockets):
+        halves = _assemble(runner(2, _rhs_worker, shape, 2, n_chem, PERIODIC),
+                           shape, n_chem)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, halves)), \
+            runner.__name__
 
 
 def _oracle_rhs(w, bcs, spacing, cell):

@@ -1,12 +1,13 @@
 """Grid, decomposition, halo exchange, physical boundary fills."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from mrflow.mesh import (HALO_DEPTH, NEUMANN, PERIODIC, REFLECT,
                          Decomposition, HaloExchanger, MeshError, UniformGrid,
-                         apply_boundary, decode_halo_message, dims_create,
-                         encode_halo_message, extend, extended_arrays,
+                         apply_boundary, dims_create, extend, extended_arrays,
                          local_extents)
 from mrflow.transport import Communicator, ProtocolError, run_spmd
 
@@ -159,15 +160,27 @@ def test_exchange_protocol_errors():
         handle.finish()
 
 
-def test_halo_message_codec():
-    slab = np.arange(24.0).reshape(2, 3, 2, 2)
-    buf = encode_halo_message(4, slab)
-    back = decode_halo_message(buf, 4, slab.shape)
-    np.testing.assert_array_equal(back, slab)
-    with pytest.raises(ProtocolError, match="face"):
-        decode_halo_message(buf, 5, slab.shape)
-    with pytest.raises(ProtocolError, match="shape"):
-        decode_halo_message(buf, 4, (2, 3, 2, 1))
+def _mismatch_worker(comm, sent):
+    # task 0 exchanges 1 field and task 1 exchanges 2
+    n_fields = 1 + comm.rank
+    d = Decomposition(UniformGrid((12, 6, 6), BOUNDS), 2, comm.rank,
+                      (PERIODIC,) * 6)
+    handle = HaloExchanger(comm, d, n_fields).begin(
+        _extended([np.zeros(d.local_shape)] * n_fields))
+    sent.wait(timeout=30)  # no task closes its ends before both have sent
+    with pytest.raises(ProtocolError) as info:
+        handle.finish()
+    return str(info.value)
+
+
+def test_halo_shape_mismatch_names_tasks_and_shapes():
+    # each task's first receive is its +x ghost slab, the peer's -x layers
+    assert run_spmd(2, _mismatch_worker, threading.Barrier(2)) == [
+        "task 0: expected tag 'halo:1:1:1x3x6x6' from task 1,"
+        " got 'halo:1:1:2x3x6x6'",
+        "task 1: expected tag 'halo:1:1:2x3x6x6' from task 0,"
+        " got 'halo:1:1:1x3x6x6'",
+    ]
 
 
 def _linear_x_fields(n):

@@ -88,7 +88,7 @@ def _linear_setup(comm=None, batched=True, hg=1e-8):
     a = z.copy()
     weights = error_weights(z, 1e-5, 1e-9)
     eng = NewtonEngine(_linear_jac, LIN_PATTERN, nb=5 + nc,
-                       n_cells=int(np.prod(shape)), comm=comm)
+                       n_cells=int(np.prod(shape)))
     return eng, z, a, weights, hg
 
 
