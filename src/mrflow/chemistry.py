@@ -12,7 +12,7 @@ passes between the slow (advection) and fast (reaction) integrators:
                            e_g <- (e_t - |m|^2/(2 rho)) / rho
 
 so after every slow phase the slot agrees with the fluid to roundoff,
-and with reactions disabled the transfer is pure roundoff and total
+and with zero rates (k1 = k2 = q = 0) the transfer is pure roundoff and total
 energy stays conserved.
 
 The reaction network itself is a two-species hydrogen-recombination

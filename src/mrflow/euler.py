@@ -85,7 +85,7 @@ def sound_speed(gas: GasConstants, rho, p):
     return np.sqrt(gas.gamma * p / rho)
 
 
-def flux(gas: GasConstants, w, p, axis: int):
+def flux(w, p, axis: int):
     """Analytic flux along `axis` for states stacked on the first axis,
     given their pressure p."""
     m = w[IMX:IET]
@@ -170,12 +170,11 @@ class EulerPipeline:
     """
 
     def __init__(self, comm, decomp, gas: GasConstants, n_chem: int,
-                 profile=None, debug: bool = False):
+                 profile=None):
         self.decomp = decomp
         self.gas = gas
         self.profile = profile if profile is not None else Profile()
-        self.debug = debug
-        self.exchanger = HaloExchanger(comm, decomp, 5 + n_chem)
+        self.exchanger = HaloExchanger(comm, decomp)
         self.ext = extended_arrays(decomp.local_shape, 5 + n_chem)
 
     # one conservative-difference evaluation
@@ -186,7 +185,7 @@ class EulerPipeline:
                 with prof.region(Region.PACKING):
                     extend(state_fields(state), self.ext)
                 with prof.region(Region.MPI):
-                    self.exchanger.begin(self.ext, poison=self.debug).finish()
+                    self.exchanger.begin(self.ext).finish()
                 # axis terms accumulated in x, y, z order
                 div = None
                 for axis, (w, h) in enumerate(zip(self.ext,
@@ -221,7 +220,7 @@ class EulerPipeline:
             raise EosDomainError(f"rank {self.decomp.rank}: {exc} at {where}",
                                  exc.index, exc.value) from None
         c = sound_speed(self.gas, rho, p)
-        f = flux(self.gas, fields, p, axis).swapaxes(0, 1)
+        f = flux(fields, p, axis).swapaxes(0, 1)
         return f, (np.abs(fields[IMX + axis] / rho) + c)[:, None]
 
 

@@ -56,7 +56,6 @@ class RunConfig:
     rtol: float = 1e-5
     atol: float = 1e-9
     gamma: float = 5.0 / 3.0
-    reactions: bool = True
     k1: float = 1.0e2
     k2: float = 1.0e4
     q: float = 1.0e-2
@@ -108,10 +107,9 @@ _CONFIG_KEYS = {
                  bc=("bc",)),
     "time": {k: (k,) for k in ("t_final", "t_transient", "h_slow",
                                "fast_ratio", "rtol", "atol")},
-    "physics": {k: (k,) for k in ("gamma", "reactions", "k1", "k2", "q",
-                                  "seed", "n_clumps")},
+    "physics": {k: (k,) for k in ("gamma", "k1", "k2", "q", "seed",
+                                  "n_clumps")},
     "units": {k: ("units", k) for k in ("mass", "length", "time")},
-    "output": {"csv": ("csv_path",), "snapshot": ("snapshot_path",)},
 }
 
 
@@ -151,8 +149,7 @@ def load_config(path: str) -> RunConfig:
         for key, raw in cp[section].items():
             default = functools.reduce(_part, keys[key], cfg)
             try:
-                value = (cp.getboolean(section, key)
-                         if isinstance(default, bool) else type(default)(raw))
+                value = type(default)(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value in config {path}: {exc}") from exc
             cfg = _with(cfg, keys[key], value)
@@ -296,15 +293,11 @@ def simulation_worker(comm, cfg: RunConfig, n_tasks: int, fused: bool):
             pipeline = EulerPipeline(comm, decomp, gas, N_SPECIES,
                                      profile=profile)
             e_ref = _global_mean_eg(comm, decomp, state)
-            if cfg.reactions:
-                network = SurrogateNetwork(cfg.k1, cfg.k2, cfg.q, e_ref)
-            else:
-                network = SurrogateNetwork(0.0, 0.0, 0.0, e_ref)
+            network = SurrogateNetwork(cfg.k1, cfg.k2, cfg.q, e_ref)
             fast_f = ReactionRhs(network, profile)
             newton = NewtonEngine(
                 lambda t, v: network.jacobian_values(v.arrays[0], v.arrays[5]),
-                network.PATTERN, nb=5 + N_SPECIES,
-                n_cells=int(np.prod(decomp.local_shape)), profile=profile)
+                network.PATTERN, nb=5 + N_SPECIES, profile=profile)
             hooks = EnergyBookkeeping()
             coupling = MRICoupling(knoth_wolke_3())
             h_fast = cfg.h_slow / cfg.fast_ratio

@@ -188,15 +188,13 @@ def _halo_tag(seq: int, face: int, slab: np.ndarray) -> str:
 class ExchangeHandle:
     """Pending halo exchange; finish() must be called exactly once."""
 
-    def __init__(self, exchanger, ext, poison):
+    def __init__(self, exchanger, ext):
         self._ex = exchanger
         self._ext = ext
-        self._poison = poison
         self._finished = False
 
     def finish(self):
-        """Fill every ghost layer; a poisoned exchange then checks that
-        none was left unset."""
+        """Fill every ghost layer: received faces first, then physical."""
         if self._finished:
             raise ProtocolError("exchange handle finished twice")
         self._finished = True
@@ -212,42 +210,33 @@ class ExchangeHandle:
         for face in range(6):
             if decomp.neighbors[face] is None:
                 apply_boundary(ext[face // 2], face, decomp.bcs[face])
-            if self._poison and np.isnan(_slab(ext[face // 2], face, True)).any():
-                raise RuntimeError(
-                    f"ghost slab {FACE_NAMES[face]} left unset by the exchange")
         self._ex._open = False
 
 
 class HaloExchanger:
     """Fills the ghost layers of one task's extended arrays."""
 
-    def __init__(self, comm, decomp: Decomposition, n_fields: int):
+    def __init__(self, comm, decomp: Decomposition):
         self.comm = comm
         self.decomp = decomp
-        self.n_fields = n_fields
         self._seq = 0
         self._open = False
 
-    def begin(self, ext, poison: bool = False) -> ExchangeHandle:
-        """Send each neighbor face's owned layers straight from `ext`;
-        receives complete in finish(). poison NaN-fills the ghosts."""
+    def begin(self, ext) -> ExchangeHandle:
+        """Send each neighbor face's owned layers straight from `ext`. The
+        receives are in finish(), where a peer's other slab shape fails."""
         if self._open:
             raise ProtocolError("previous exchange not finished")
-        if ext[0].shape[1] != self.n_fields:
-            raise ProtocolError(
-                f"expected {self.n_fields} fields, got {ext[0].shape[1]}")
         self._open = True
         self._seq += 1
         for face in range(6):
-            if poison:
-                _slab(ext[face // 2], face, ghost=True).fill(np.nan)
             dst = self.decomp.neighbors[face]
             if dst is None:
                 continue
             owned = _slab(ext[face // 2], face, ghost=False)
             self.comm.send(dst, _halo_tag(self._seq, face ^ 1, owned),
                            owned.tobytes())
-        return ExchangeHandle(self, ext, poison)
+        return ExchangeHandle(self, ext)
 
 
 def apply_boundary(ext, face: int, bc: str):

@@ -125,12 +125,11 @@ class NewtonEngine:
     converges at rate * norm <= DEFAULT_CONV_COEF.
     """
 
-    def __init__(self, jacobian, pattern, nb: int, n_cells: int, profile=None):
+    def __init__(self, jacobian, pattern, nb: int, profile=None):
         self.jacobian = jacobian
         self.pattern = tuple(pattern)
         self.profile = profile if profile is not None else Profile()
         self.stats = NewtonStats()
-        self.n_cells = n_cells
         for r, c in self.pattern:
             if not (0 <= r < nb and 0 <= c < nb):
                 raise ValueError(f"pattern entry ({r}, {c}) outside block")
@@ -206,7 +205,7 @@ class NewtonEngine:
             np.negative(x, out=x)
         fields = state_fields(v)
         block = [fields[r] for r in self._rows]
-        rhs = np.empty((self.n_cells, len(block)))
+        rhs = np.empty((len(self._lu), len(block)))
         for j, x in enumerate(block):
             rhs[:, j] = x.reshape(-1)
         for q, (j, c) in enumerate(self._known):
@@ -220,8 +219,8 @@ class NewtonEngine:
         m = len(self._rows)
         with self.profile.region(Region.LIN_SETUP):
             vals = self._jac_values
-            lu = np.zeros((self.n_cells, m, m))
-            known = np.zeros((self.n_cells, len(self._known)))
+            lu = np.zeros((len(vals), m, m))
+            known = np.zeros((len(vals), len(self._known)))
             slot = {rc: q for q, rc in enumerate(self._known)}
             # -hg*J entry by entry (duplicates add), then +1 on the diagonal
             for k, (r, c) in enumerate(self.pattern):

@@ -234,7 +234,7 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     for k in range(4):
         h = 0.2 / 2 ** k
         eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), np.cos(t)),
-                           ((5, 5),), nb=6, n_cells=1)
+                           ((5, 5),), nb=6)
         y, _ = fixed_evolve(f_smooth, _cell_state([1.0], 1), 0.0, 2.0, h,
                             table, newton=eng, rtol=1e-10, atol=1e-13)
         hs.append(h)
@@ -261,7 +261,7 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     y.arrays[5][0, 0, 0, IEG] = 1.0
     eng = NewtonEngine(lambda t, v: net.jacobian_values(v.arrays[0],
                                                         v.arrays[5]),
-                       net.PATTERN, nb=5 + N_SPECIES, n_cells=1)
+                       net.PATTERN, nb=5 + N_SPECIES)
     log = []
     adaptive_evolve(f_net, y, 0.0, h_slow, table, rtol=rtol, atol=atol,
                     h0=1e-6, h_max=h_max, newton=eng, step_log=log)
@@ -313,7 +313,7 @@ def _newton_comm_worker(comm):
     y = ManyVector(arrays, global_lengths=lengths, comm=comm)
     weights = error_weights(y, 1e-5, 1e-9)
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
 
     z = y.copy()
     before = comm.counters.snapshot()

@@ -192,7 +192,7 @@ def _chem_rhs(expr):
 def test_dirk_step_zero_rhs_is_identity():
     table = sdirk4()
     eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     y = _cell_state([3.0], 1)
     w = y.clone_empty()
     for a in w.arrays:
@@ -211,7 +211,7 @@ def test_dirk_embedded_error_hand_value():
     lam, h = -2.0, 0.25
     table = sdirk4()
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     y = _cell_state([1.0], 1)
     w = y.clone_empty().fill(1.0)
     err = y.clone_empty()
@@ -229,7 +229,7 @@ def test_dirk_stiff_relaxation_is_stable():
     lam = -1.0e6
     table = sdirk4()
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     y = _cell_state([0.0], 1)
     y, stats = fixed_evolve(_chem_rhs(lambda t, c: lam * (c - 1.0)), y,
                             0.0, 0.5, 0.1, table, newton=eng)
@@ -245,7 +245,7 @@ def test_dirk_observed_order_matches_nominal():
     for k in range(4):
         h = 0.2 / 2 ** k
         eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), np.cos(t)),
-                           ((5, 5),), nb=6, n_cells=1)
+                           ((5, 5),), nb=6)
         y, _ = fixed_evolve(f, _cell_state([1.0], 1), 0.0, 2.0, h, table,
                             newton=eng, rtol=1e-10, atol=1e-13)
         hs.append(h)
@@ -394,7 +394,7 @@ def test_adaptive_stiff_transient_saturates_at_h_max():
     lam = -1.0e4
     h_max = 0.01
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     log = []
     y, stats = adaptive_evolve(_chem_rhs(lambda t, c: lam * (c - 1.0)),
                                _cell_state([0.0], 1), 0.0, 1.0, sdirk4(),
@@ -413,7 +413,7 @@ def test_adaptive_newton_failure_shrinks_and_retries():
     # diverges at large h; the adaptive driver must cut h and push on
     lam = -100.0
     eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     stats = IntegrationStats()
     y, _ = adaptive_evolve(_chem_rhs(lambda t, c: lam * c),
                            _cell_state([1.0], 1), 0.0, 0.05, sdirk4(),
@@ -457,7 +457,7 @@ def test_fixed_rejects_bad_step(h):
 def test_fixed_newton_failure_is_fatal():
     lam = -100.0
     eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6, n_cells=1)
+                       nb=6)
     stats = IntegrationStats()
     with pytest.raises(SolverError, match="fixed step"):
         fixed_evolve(_chem_rhs(lambda t, c: lam * c), _cell_state([1.0], 1),
@@ -486,7 +486,7 @@ def test_adaptive_surrogate_network_meets_tolerances():
     y.arrays[0][...] = 1.0
     y.arrays[5][0, 0, 0, IH] = 1.0
     y.arrays[5][0, 0, 0, IEG] = 1.0
-    eng = NewtonEngine(jac, net.PATTERN, nb=5 + N_SPECIES, n_cells=1)
+    eng = NewtonEngine(jac, net.PATTERN, nb=5 + N_SPECIES)
     log = []
     stats = IntegrationStats()
     adaptive_evolve(f, y, 0.0, 0.1, sdirk4(), rtol=rtol, atol=atol,

@@ -56,7 +56,7 @@ def test_flux_matches_direct_formulas():
     rho, m, et = w[0], w[1:4], w[4]
     p = 0.4 * (et - (m * m).sum(axis=0) / (2 * rho))
     for axis in range(3):
-        out = flux(GAS, w, p, axis)
+        out = flux(w, p, axis)
         v = m[axis] / rho
         np.testing.assert_allclose(out[0], m[axis], rtol=1e-15)
         expect_m = m * v
@@ -80,7 +80,7 @@ def test_max_wave_speed():
     fastest = max(c, 2.0 + np.sqrt(1.4 * p3))
     assert lam.max() == pytest.approx(fastest, rel=1e-14)
     # the face's Lax-Friedrichs speed is that maximum over its stencil
-    f = flux(GAS, w, p, 0)
+    f = flux(w, p, 0)
 
     def face(speeds):
         return _face_flux(w.T, f.T, speeds[:, None], WENO_EPS)
@@ -129,7 +129,7 @@ def test_face_flux_consistency_on_uniform_state():
     w[4] = 3.0
     p = pressure(GAS, *w)
     lam = np.abs(w[1] / w[0]) + sound_speed(GAS, w[0], p)
-    f = flux(GAS, w, p, 0)
+    f = flux(w, p, 0)
     face = _face_flux(w.T, f.T, lam[:, None], WENO_EPS)
     assert face.shape == (3, 5)
     np.testing.assert_allclose(face, f.T[:3], rtol=1e-14)
@@ -172,6 +172,14 @@ def _state(shape, n_chem, fill):
     return ManyVector([rho, mx, my, mz, et, chem])
 
 
+def _nan_ghosts(pipe):
+    """NaN-fill the pipeline's extended arrays, so that a ghost the
+    exchange or a boundary fill leaves unset poisons the result."""
+    for ext in pipe.ext:
+        ext.fill(np.nan)
+    return pipe
+
+
 def _rhs_worker(comm, shape, n_tasks, n_chem, bc):
     grid = UniformGrid(shape, ((0.0, 1.0),) * 3)
     d = Decomposition(grid, n_tasks, comm.rank, (bc,) * 6)
@@ -187,7 +195,7 @@ def _rhs_worker(comm, shape, n_tasks, n_chem, bc):
     chem = np.stack([0.5 * rho] * n_chem, axis=-1) if n_chem else \
         np.zeros(rho.shape + (0,))
     state = ManyVector([rho, mx, my, mz, et, chem])
-    pipe = EulerPipeline(comm, d, GAS, n_chem, debug=True)
+    pipe = _nan_ghosts(EulerPipeline(comm, d, GAS, n_chem))
     out = pipe(0.0, state)
     return d.extents, [a.copy() for a in out.arrays]
 
@@ -257,7 +265,7 @@ def _oracle_rhs(w, bcs, spacing, cell):
             c = state(idx)
             p = pressure(GAS, *c[:5])
             ws.append(c)
-            fs.append(flux(GAS, c, p, axis))
+            fs.append(flux(c, p, axis))
             lams.append(abs(c[1 + axis] / c[0]) + sound_speed(GAS, c[0], p))
         lam = max(lams)
         plus = [0.5 * (f + lam * c) for f, c in zip(fs, ws)]
@@ -286,7 +294,7 @@ def test_rhs_matches_per_cell_stencil_oracle():
         grid = UniformGrid(shape, ((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)))
         d = Decomposition(grid, 1, 0, sum(((bc, bc) for bc in bcs), ()))
         state = ManyVector([rho.copy(), *m.copy(), et.copy(), chem.copy()])
-        out = EulerPipeline(comm, d, GAS, n_chem, debug=True)(0.0, state)
+        out = _nan_ghosts(EulerPipeline(comm, d, GAS, n_chem))(0.0, state)
         return grid.spacing, np.concatenate(
             [np.stack(out.arrays[:5]), np.moveaxis(out.arrays[5], -1, 0)])
     spacing, rhs = run_spmd(1, fn)[0]
@@ -341,14 +349,17 @@ def test_eos_error_names_nan_cell():
                  np.nan)
 
 
-def test_debug_poison_catches_unfilled_ghost_slab(monkeypatch):
+def test_unfilled_ghost_slab_is_named(monkeypatch):
+    # with no boundary fill the NaN ghosts reach the EOS; -x is checked first
     monkeypatch.setattr(mesh, "apply_boundary", lambda *args: None)
 
     def fn(comm):
         d = Decomposition(UniformGrid((6, 6, 6)), 1, 0, (NEUMANN,) * 6)
         state = _state((6, 6, 6), 0, {"rho": 1.0, "et": 2.0})
-        EulerPipeline(comm, d, GAS, 0, debug=True)(0.0, state)
-    with pytest.raises(RuntimeError, match="ghost slab -x left unset"):
+        _nan_ghosts(EulerPipeline(comm, d, GAS, 0))(0.0, state)
+    with pytest.raises(EosDomainError,
+                       match=r"^rank 0: nonpositive internal energy nan "
+                             r"at ghost slab -x$"):
         run_spmd(1, fn)
 
 
@@ -389,7 +400,7 @@ def test_uniform_state_has_zero_rhs():
         d = Decomposition(grid, 1, 0, (PERIODIC,) * 6)
         state = _state((6, 6, 6), 1, {"rho": 1.3, "mx": 0.7, "et": 9.0})
         state.arrays[5][..., 0] = 0.25
-        pipe = EulerPipeline(comm, d, GAS, 1, debug=True)
+        pipe = _nan_ghosts(EulerPipeline(comm, d, GAS, 1))
         out = pipe(0.0, state)
         return [np.abs(a).max() for a in out.arrays]
     maxima = run_spmd(1, fn)[0]

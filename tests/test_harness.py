@@ -80,7 +80,6 @@ atol = 1e-10
 
 [physics]
 gamma = 1.4
-reactions = false
 k1 = 5.0
 k2 = 7.0
 q = 0.5
@@ -91,10 +90,6 @@ n_clumps = 3
 mass = 1e30
 length = 1e10
 time = 1e5
-
-[output]
-csv = prof.csv
-snapshot = snap.bin
 """)
     cfg = load_config(str(path))
     assert cfg.shape == (16, 12, 8)
@@ -103,12 +98,10 @@ snapshot = snap.bin
     assert (cfg.t_final, cfg.t_transient, cfg.h_slow) == (0.4, 0.1, 0.02)
     assert (cfg.rtol, cfg.atol) == (1e-6, 1e-10)
     assert cfg.gamma == 1.4
-    assert cfg.reactions is False
     assert (cfg.k1, cfg.k2, cfg.q) == (5.0, 7.0, 0.5)
     assert (cfg.seed, cfg.n_clumps) == (42, 3)
     assert (cfg.units.mass, cfg.units.length, cfg.units.time) == \
         (1e30, 1e10, 1e5)
-    assert (cfg.csv_path, cfg.snapshot_path) == ("prof.csv", "snap.bin")
 
 
 def test_load_config_missing_sections_keep_defaults(tmp_path):
@@ -449,10 +442,28 @@ def test_cli_rejects_dirichlet_as_config_error(tmp_path, capsys):
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):
+    # zero rates switch the chemistry off, and output paths are flags only
     ini = tmp_path / "run.ini"
-    ini.write_text("[grid]\nnx = 8\nnn = 8\n")
-    assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for text, name in (
+            ("[grid]\nnx = 8\nnn = 8\n", "[grid]: nn"),
+            (TINY_INI + "reactions = false\n", "[physics]: reactions"),
+            (TINY_INI + "\n[output]\ncsv = prof.csv\n", "section [output]")):
+        ini.write_text(text)
+        assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err, text
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```")[1::2]
+    ini = [b for b in blocks if b.lstrip("\n").startswith("[grid]")]
+    assert len(ini) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(ini[0])
+    cfg = load_config(str(path))
+    assert (cfg.shape, cfg.n_clumps) == ((32, 32, 32), 20)
 
 
 def test_cli_report_prints_efficiencies(tmp_path, capsys):
@@ -497,9 +508,9 @@ def test_cli_report_malformed_csv_is_config_error(tmp_path, capsys, text):
     assert "config error" in err and str(bad) in err
 
 
-def _energy_drift(tmp_path, reactions):
+def _energy_drift(tmp_path, rates):
     ini = tmp_path / "run.ini"
-    ini.write_text(TINY_INI + f"seed = 11\nreactions = {reactions}\n")
+    ini.write_text(TINY_INI + "seed = 11\n" + rates)
     snap = str(tmp_path / "final.mv")
     assert main(["run", "--config", str(ini), "--snapshot", snap]) == 0
     cfg = _tiny_cfg(seed=11)
@@ -512,10 +523,10 @@ def _energy_drift(tmp_path, reactions):
                                   monitor.totals(final))["energy"]
 
 
-def test_cli_reactions_off_conserves_energy(tmp_path):
-    # with reactions off the chemistry hands back e_t exactly as it got it
-    assert _energy_drift(tmp_path, "false") == 0.0
-    assert _energy_drift(tmp_path, "true") > 1e-12
+def test_cli_zero_rates_conserve_energy(tmp_path):
+    # with zero rates the chemistry hands back e_t exactly as it got it
+    assert _energy_drift(tmp_path, "k1 = 0\nk2 = 0\nq = 0\n") == 0.0
+    assert _energy_drift(tmp_path, "") > 1e-12
 
 
 # ------------------------------------------------------------- determinism

@@ -109,7 +109,10 @@ def _global_field(shape, n_fields):
 
 
 def _extended(fields):
+    # NaN ghosts: an exchange that leaves one unset fails the oracle checks
     ext = extended_arrays(fields[0].shape, len(fields))
+    for e in ext:
+        e.fill(np.nan)
     extend(fields, ext)
     return ext
 
@@ -120,7 +123,7 @@ def _exchange_worker(comm, shape, n_tasks, n_fields):
     g = _global_field(shape, n_fields)
     (x0, x1), (y0, y1), (z0, z1) = d.extents
     ext = _extended([g[f, x0:x1, y0:y1, z0:z1] for f in range(n_fields)])
-    HaloExchanger(comm, d, n_fields).begin(ext, poison=True).finish()
+    HaloExchanger(comm, d).begin(ext).finish()
     return d.extents, ext
 
 
@@ -149,9 +152,7 @@ def test_exchange_protocol_errors():
     grid = UniformGrid((6, 6, 6), BOUNDS)
     d = Decomposition(grid, 1, 0, (PERIODIC,) * 6)
     ext = _extended([np.zeros((6, 6, 6))])
-    ex = HaloExchanger(_self_comm(), d, 1)
-    with pytest.raises(ProtocolError, match="expected 1 fields"):
-        ex.begin(_extended([np.zeros((6, 6, 6))] * 2))
+    ex = HaloExchanger(_self_comm(), d)
     handle = ex.begin(ext)
     with pytest.raises(ProtocolError, match="not finished"):
         ex.begin(ext)
@@ -165,7 +166,7 @@ def _mismatch_worker(comm, sent):
     n_fields = 1 + comm.rank
     d = Decomposition(UniformGrid((12, 6, 6), BOUNDS), 2, comm.rank,
                       (PERIODIC,) * 6)
-    handle = HaloExchanger(comm, d, n_fields).begin(
+    handle = HaloExchanger(comm, d).begin(
         _extended([np.zeros(d.local_shape)] * n_fields))
     sent.wait(timeout=30)  # no task closes its ends before both have sent
     with pytest.raises(ProtocolError) as info:
@@ -227,8 +228,7 @@ def test_physical_faces_filled_during_finish():
     grid = UniformGrid((6, 6, 6), BOUNDS)
     d = Decomposition(grid, 1, 0, (NEUMANN,) * 6)
     ext = _extended(_linear_x_fields(6))
-    ex = HaloExchanger(_self_comm(), d, 1)
-    ex.begin(ext, poison=True).finish()
+    HaloExchanger(_self_comm(), d).begin(ext).finish()
     # nearest ghost mirrors cell 0, deepest mirrors cell 2
     np.testing.assert_array_equal(ext[0][:HALO_DEPTH, 0, 2, 2], [2.0, 1.0, 0.0])
     assert not any(np.isnan(e).any() for e in ext)

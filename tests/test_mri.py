@@ -221,7 +221,7 @@ def test_newton_engine_resets_for_every_fast_interval():
     lam = -5.0
     cpl = MRICoupling(knoth_wolke_3())
     eng = _CountingEngine(lambda t, v: np.full((1, 1, 1, 1), lam),
-                          ((5, 5),), nb=6, n_cells=1)
+                          ((5, 5),), nb=6)
 
     def fast_f(t, v):
         out = v.clone_empty()

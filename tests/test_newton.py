@@ -87,8 +87,7 @@ def _linear_setup(comm=None, batched=True, hg=1e-8):
     z.arrays[5][...] = rng.uniform(0.5, 2.0, shape + (nc,))
     a = z.copy()
     weights = error_weights(z, 1e-5, 1e-9)
-    eng = NewtonEngine(_linear_jac, LIN_PATTERN, nb=5 + nc,
-                       n_cells=int(np.prod(shape)))
+    eng = NewtonEngine(_linear_jac, LIN_PATTERN, nb=5 + nc)
     return eng, z, a, weights, hg
 
 
@@ -146,7 +145,7 @@ def _one_update(pattern, nb, vals, hg, seed=21):
     for x in a.arrays + forcing.arrays:
         x[...] = rng.standard_normal(x.shape)
     eng = NewtonEngine(lambda t, v: vals.reshape(shape + (len(pattern),)),
-                       pattern, nb=nb, n_cells=int(np.prod(shape)))
+                       pattern, nb=nb)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(newton, "DEFAULT_CONV_COEF", np.inf)
         eng.solve(lambda t, v: forcing.copy(), 0.0, z, a, hg,
@@ -198,7 +197,7 @@ def test_duplicate_pattern_entries_accumulate():
                          ids=["col-high", "row-high", "row-low", "col-low"])
 def test_pattern_outside_block_rejected(entry):
     with pytest.raises(ValueError, match="outside block"):
-        NewtonEngine(lambda t, v: None, ((5, 5), entry), nb=7, n_cells=1)
+        NewtonEngine(lambda t, v: None, ((5, 5), entry), nb=7)
 
 
 def test_singular_block_names_cell_and_field():
@@ -206,7 +205,7 @@ def test_singular_block_names_cell_and_field():
     shape = (3, 1, 1)
     z = _state(shape, 1)
     jac = np.array([0.5, 1.0, 0.5]).reshape(shape + (1,))
-    eng = NewtonEngine(lambda t, v: jac, ((5, 5),), nb=6, n_cells=3)
+    eng = NewtonEngine(lambda t, v: jac, ((5, 5),), nb=6)
     with pytest.raises(LinearSolveError,
                        match=r"local cell 1: zero pivot for field H$") as info:
         eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 1.0,
@@ -232,8 +231,7 @@ def _network_setup(hg):
         return out
 
     jac = lambda t, v: net.jacobian_values(v.arrays[0], v.arrays[5])
-    eng = NewtonEngine(jac, SurrogateNetwork.PATTERN, nb=5 + N_SPECIES,
-                       n_cells=int(np.prod(shape)))
+    eng = NewtonEngine(jac, SurrogateNetwork.PATTERN, nb=5 + N_SPECIES)
     a = z.copy()
     weights = error_weights(z, 1e-8, 1e-12)
     return eng, f, z, a, weights, hg
@@ -290,8 +288,7 @@ def test_divergence_raises_with_freshness_flag():
     z.arrays[5][...] = 1.0
     a = z.copy()
     a.arrays[5][...] = 0.5
-    eng = NewtonEngine(wrong_jac, ((5, 5),), nb=6,
-                       n_cells=int(np.prod(shape)))
+    eng = NewtonEngine(wrong_jac, ((5, 5),), nb=6)
     weights = error_weights(z, 1e-5, 1e-9)
     with pytest.raises(ConvergenceFailure) as info:
         eng.solve(f, 0.0, z, a, 1.0, weights)
@@ -310,7 +307,7 @@ def test_non_finite_update_norm_fails_at_once():
     shape = (2, 1, 1)
     z = _state(shape, 1)
     eng = NewtonEngine(lambda t, v: np.zeros(v.arrays[0].shape + (1,)),
-                       ((5, 5),), nb=6, n_cells=int(np.prod(shape)))
+                       ((5, 5),), nb=6)
     with pytest.raises(ConvergenceFailure, match="after 1 iterations"):
         eng.solve(nan_rhs, 0.0, z, z.copy(), 0.5, error_weights(z, 1e-5, 1e-9))
     assert (eng.stats.iterations, eng.stats.failures) == (1, 1)
