@@ -9,10 +9,13 @@ and splits the rows of I - hg*J in two:
                  the vector's arrays;
   coupled rows   one small m x m block per cell (3 x 3 for the surrogate
                  network), assembled straight from the pattern values and
-                 factored by partially pivoted LU batched over cells. The
-                 factorization composes its pivot swaps into one row
-                 permutation per cell, so a solve gathers the right-hand
-                 side once instead of replaying the swaps.
+                 factored by partially pivoted LU batched over cells.
+                 Blocks are stored cell-innermost, (m, m, cells), and
+                 right-hand sides (m, cells), so each entry is one
+                 contiguous row over the cells. A pivot swap is a masked
+                 selection (np.where) between two rows for the cells
+                 that pivot there; the swaps compose into one row
+                 permutation per cell, so a solve gathers rhs once.
 
 A pattern column outside the coupled rows (the density for the
 surrogate) is an identity row, so its value is known before the block
@@ -30,6 +33,7 @@ coefficient forces a rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -63,44 +67,45 @@ class ConvergenceFailure(Exception):
 
 
 def block_lu_factor(blocks: np.ndarray) -> np.ndarray:
-    """In-place LU with partial pivoting, batched over the leading axis.
+    """In-place LU with partial pivoting of (nb, nb, n_cells) blocks.
 
-    Returns the row permutation (n_cells, nb): row i of each factored
+    Returns the row permutation (nb, n_cells): row i of each factored
     block is row perm[i] of the original. Raises LinearSolveError naming
     the first offending cell if any block is singular.
     """
-    n_cells, nb, _ = blocks.shape
-    perm = np.tile(np.arange(nb), (n_cells, 1))
-    cells = np.arange(n_cells)
+    nb, _, n_cells = blocks.shape
+    perm = np.repeat(np.arange(nb)[:, None], n_cells, axis=1)
     for k in range(nb):
-        p = k + np.abs(blocks[:, k:, k]).argmax(axis=1)
-        pivots = blocks[cells, p, k]
-        if np.any(pivots == 0.0):
-            bad = int(np.flatnonzero(pivots == 0.0)[0])
+        # the cells that pivot on row r swap rows k and r (at most once)
+        p = k + np.abs(blocks[k:, k]).argmax(axis=0) if k + 1 < nb else k
+        for r in range(k + 1, nb):
+            if (sw := p == r).any():
+                for a in (blocks, perm):
+                    a[k], a[r] = (np.where(sw, a[r], a[k]),
+                                  np.where(sw, a[k], a[r]))
+        piv = blocks[k, k]
+        if np.any(piv == 0.0):
+            bad = int(np.flatnonzero(piv == 0.0)[0])
             raise LinearSolveError(
                 f"singular {nb}x{nb} block in cell {bad} (pivot column {k})",
                 cell=bad, column=k)
-        # swap rows k and p of every block and its permutation; row k is
-        # a plain view, which is cheaper than gathering it per cell
-        row, slot = blocks[:, k, :].copy(), perm[:, k].copy()
-        blocks[:, k, :], perm[:, k] = blocks[cells, p, :], perm[cells, p]
-        blocks[cells, p, :], perm[cells, p] = row, slot
-        blocks[:, k + 1:, k] /= blocks[:, k:k + 1, k]
-        blocks[:, k + 1:, k + 1:] -= (blocks[:, k + 1:, k:k + 1]
-                                      * blocks[:, k:k + 1, k + 1:])
+        blocks[k + 1:, k] /= piv
+        blocks[k + 1:, k + 1:] -= blocks[k + 1:, k, None] * blocks[k, k + 1:]
     return perm
 
 
 def block_lu_solve(blocks: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve factored blocks against rhs (n_cells, nb), given the row
+    """Solve factored blocks against rhs (nb, n_cells), given the row
     permutation block_lu_factor returned. Purely local."""
-    nb = blocks.shape[1]
-    x = np.take_along_axis(rhs, perm, axis=1)
+    nb = blocks.shape[0]
+    x = np.take_along_axis(rhs, perm, axis=0)
+    # each row sums its products left to right, as .sum() does below 8
     for i in range(1, nb):
-        x[:, i] -= (blocks[:, i, :i] * x[:, :i]).sum(axis=1)
+        x[i] -= reduce(np.add, blocks[i, :i] * x[:i])
     for i in range(nb - 1, -1, -1):
-        x[:, i] -= (blocks[:, i, i + 1:] * x[:, i + 1:]).sum(axis=1)
-        x[:, i] /= blocks[:, i, i]
+        if i + 1 < nb:
+            x[i] -= reduce(np.add, blocks[i, i + 1:] * x[i + 1:])
+        x[i] /= blocks[i, i]
     return x
 
 
@@ -159,12 +164,11 @@ class NewtonEngine:
         error weights for the convergence norm. A growing or non-finite
         update norm stops the iteration at once.
         """
-        fresh = False
-        if self._jac_values is None:
+        fresh = self._jac_values is None
+        if fresh:
             with self.profile.region(Region.FAST_JAC):
                 self._jac_values = self.jacobian(t, z).reshape(-1, len(self.pattern))
             self.stats.jac_evals += 1
-            fresh = True
         if fresh or self._lu is None or hg != self._hg_cached:
             self._factor(hg)
 
@@ -205,31 +209,27 @@ class NewtonEngine:
             np.negative(x, out=x)
         fields = state_fields(v)
         block = [fields[r] for r in self._rows]
-        rhs = np.empty((len(self._lu), len(block)))
-        for j, x in enumerate(block):
-            rhs[:, j] = x.reshape(-1)
+        rhs = np.stack([x.reshape(-1) for x in block])
         for q, (j, c) in enumerate(self._known):
-            rhs[:, j] -= self._known_coef[:, q] * fields[c].reshape(-1)
-        sol = block_lu_solve(self._lu, self._perm, rhs)
-        for j, x in enumerate(block):
-            x[...] = sol[:, j].reshape(x.shape)
+            rhs[j] -= self._known_coef[q] * fields[c].reshape(-1)
+        for x, row in zip(block, block_lu_solve(self._lu, self._perm, rhs)):
+            x[...] = row.reshape(x.shape)
 
     def _factor(self, hg: float):
         self._lu = None
         m = len(self._rows)
         with self.profile.region(Region.LIN_SETUP):
             vals = self._jac_values
-            lu = np.zeros((len(vals), m, m))
-            known = np.zeros((len(vals), len(self._known)))
-            slot = {rc: q for q, rc in enumerate(self._known)}
+            lu = np.zeros((m, m, len(vals)))
+            known = np.zeros((len(self._known), len(vals)))
             # -hg*J entry by entry (duplicates add), then +1 on the diagonal
             for k, (r, c) in enumerate(self.pattern):
                 i = self._local[r]
                 if c in self._local:
-                    lu[:, i, self._local[c]] += -hg * vals[:, k]
+                    lu[i, self._local[c]] += -hg * vals[:, k]
                 else:
-                    known[:, slot[(i, c)]] += -hg * vals[:, k]
-            lu[:, range(m), range(m)] += 1.0
+                    known[self._known.index((i, c))] += -hg * vals[:, k]
+            lu[range(m), range(m)] += 1.0
             try:
                 perm = block_lu_factor(lu)
             except LinearSolveError as err:

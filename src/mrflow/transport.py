@@ -46,13 +46,13 @@ class TrafficCounters:
 
 
 def _read_exact(sock, n):
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+    """n bytes read straight into one buffer, or None at end of stream."""
+    buf, got = memoryview(bytearray(n)), 0
+    while got < n:
+        if not (k := sock.recv_into(buf[got:])):
             return None
-        buf += chunk
-    return buf
+        got += k
+    return buf.obj
 
 
 def _socket_pairs(n_tasks: int) -> list[dict]:

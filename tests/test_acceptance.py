@@ -329,9 +329,9 @@ def _newton_comm_worker(comm):
     rhs = rng.standard_normal((48, 7))
     before = comm.counters.snapshot()
     rounds_before = ledger.global_reduction_count
-    lu = blocks.copy()
+    lu = blocks.transpose(1, 2, 0).copy()
     piv = block_lu_factor(lu)
-    x = block_lu_solve(lu, piv, rhs)
+    x = block_lu_solve(lu, piv, rhs.T.copy()).T
     after = comm.counters.snapshot()
     lin_traffic = (after[0] - before[0], after[1] - before[1],
                    ledger.global_reduction_count - rounds_before)

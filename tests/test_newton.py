@@ -1,6 +1,8 @@
 """Block-diagonal LU, the reduced per-cell linear solve, and the modified
 Newton engine with its caching and reduction discipline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,27 +19,28 @@ def test_block_lu_matches_dense_solve():
     blocks = rng.standard_normal((40, 7, 7)) + 7.0 * np.eye(7)
     rhs = rng.standard_normal((40, 7))
     expect = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-    lu = blocks.copy()
+    lu = blocks.transpose(1, 2, 0).copy()
     piv = block_lu_factor(lu)
-    got = block_lu_solve(lu, piv, rhs)
-    err = np.abs(got - expect).max() / np.abs(expect).max()
+    got = block_lu_solve(lu, piv, rhs.T.copy())
+    err = np.abs(got.T - expect).max() / np.abs(expect).max()
     assert err <= 1e-12
 
 
 def test_block_lu_pivoting_handles_zero_diagonal():
-    blocks = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    blocks = np.array([[[0.0, 1.0], [1.0, 0.0]]]).transpose(1, 2, 0).copy()
     piv = block_lu_factor(blocks)
-    x = block_lu_solve(blocks, piv, np.array([[2.0, 3.0]]))
-    np.testing.assert_allclose(x, [[3.0, 2.0]], rtol=1e-15)
+    x = block_lu_solve(blocks, piv, np.array([[2.0, 3.0]]).T.copy())
+    np.testing.assert_allclose(x.T, [[3.0, 2.0]], rtol=1e-15)
 
 
 def test_block_lu_returns_composed_row_permutation():
     # column 0 pivots on row 2, column 1 on the original row 0
     blocks = np.array([[[1.0, 2.0, 0.0], [0.0, 1.0, 5.0], [3.0, 1.0, 1.0]]])
+    blocks = blocks.transpose(1, 2, 0).copy()
     perm = block_lu_factor(blocks)
-    np.testing.assert_array_equal(perm, [[2, 0, 1]])
-    x = block_lu_solve(blocks, perm, np.array([[1.0, 2.0, 3.0]]))
-    np.testing.assert_allclose(x, np.array([[11.0, 1.0, 5.0]]) / 13.0,
+    np.testing.assert_array_equal(perm.T, [[2, 0, 1]])
+    x = block_lu_solve(blocks, perm, np.array([[1.0, 2.0, 3.0]]).T.copy())
+    np.testing.assert_allclose(x.T, np.array([[11.0, 1.0, 5.0]]) / 13.0,
                                rtol=1e-15)
 
 
@@ -46,7 +49,84 @@ def test_block_lu_singular_names_cell():
     blocks = rng.standard_normal((5, 2, 2)) + 3.0 * np.eye(2)
     blocks[3] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(LinearSolveError, match=r"cell 3"):
-        block_lu_factor(blocks)
+        block_lu_factor(blocks.transpose(1, 2, 0).copy())
+
+
+# The (cells, m, m) kernels the cell-innermost ones replaced, kept as the
+# bitwise oracle: the same pivots, factors and rounding, row by row.
+def _rowwise_factor(blocks):
+    n_cells, nb, _ = blocks.shape
+    perm = np.tile(np.arange(nb), (n_cells, 1))
+    cells = np.arange(n_cells)
+    for k in range(nb):
+        p = k + np.abs(blocks[:, k:, k]).argmax(axis=1)
+        row, slot = blocks[:, k, :].copy(), perm[:, k].copy()
+        blocks[:, k, :], perm[:, k] = blocks[cells, p, :], perm[cells, p]
+        blocks[cells, p, :], perm[cells, p] = row, slot
+        blocks[:, k + 1:, k] /= blocks[:, k:k + 1, k]
+        blocks[:, k + 1:, k + 1:] -= (blocks[:, k + 1:, k:k + 1]
+                                      * blocks[:, k:k + 1, k + 1:])
+    return perm
+
+
+def _rowwise_solve(blocks, perm, rhs):
+    nb = blocks.shape[1]
+    x = np.take_along_axis(rhs, perm, axis=1)
+    for i in range(1, nb):
+        x[:, i] -= (blocks[:, i, :i] * x[:, :i]).sum(axis=1)
+    for i in range(nb - 1, -1, -1):
+        x[:, i] -= (blocks[:, i, i + 1:] * x[:, i + 1:]).sum(axis=1)
+        x[:, i] /= blocks[:, i, i]
+    return x
+
+
+@pytest.mark.parametrize("n_cells, nb", [(4096, 3), (48, 7)])
+def test_block_lu_bitwise_equal_to_rowwise_oracle(n_cells, nb):
+    rng = np.random.default_rng(31 + nb)
+    blocks = rng.standard_normal((n_cells, nb, nb))
+    # a dominant diagonal in half the cells: no pivoting there
+    dominant = rng.random(n_cells) < 0.5
+    blocks[dominant] += 3.0 * nb * np.eye(nb)
+    rhs = rng.standard_normal((n_cells, nb))
+    lu_old = blocks.copy()
+    perm_old = _rowwise_factor(lu_old)
+    x_old = _rowwise_solve(lu_old, perm_old, rhs)
+    assert (perm_old[~dominant] != np.arange(nb)).any(axis=1).mean() > 0.5
+    assert (perm_old[dominant] == np.arange(nb)).all()
+
+    lu = blocks.transpose(1, 2, 0).copy()
+    perm = block_lu_factor(lu)
+    x = block_lu_solve(lu, perm, rhs.T.copy())
+    assert np.array_equal(lu, lu_old.transpose(1, 2, 0))
+    assert np.array_equal(perm, perm_old.T)
+    assert np.array_equal(x, x_old.T)
+
+
+def test_block_lu_mixed_pivoting_across_cells():
+    # each cell is a row permutation s of a column-dominant block D, which
+    # needs no pivoting, so the factorization must undo s: perm = s^-1
+    rng = np.random.default_rng(8)
+    orders = list(itertools.permutations(range(3)))
+    n_cells = 4 * len(orders)
+    dom = rng.uniform(-1.0, 1.0, (n_cells, 3, 3)) + 5.0 * np.eye(3)
+    s = np.array([orders[c % len(orders)] for c in range(n_cells)])
+    blocks = np.take_along_axis(dom, s[:, :, None], axis=1)
+    rhs = rng.standard_normal((n_cells, 3))
+    lu = blocks.transpose(1, 2, 0).copy()
+    perm = block_lu_factor(lu)
+    for c in range(n_cells):
+        np.testing.assert_array_equal(perm[:, c], np.argsort(s[c]))
+    assert (perm == np.arange(3)[:, None]).all(axis=0).sum() == 4  # no swap
+    x = block_lu_solve(lu, perm, rhs.T.copy())
+    expect = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+    assert np.abs(x.T - expect).max() / np.abs(expect).max() <= 1e-14
+
+    blocks[5] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(LinearSolveError,
+                       match=r"singular 3x3 block in cell 5 \(pivot column 1\)"
+                       ) as info:
+        block_lu_factor(blocks.transpose(1, 2, 0).copy())
+    assert (info.value.cell, info.value.column) == (5, 1)
 
 
 def _state(shape, n_chem, comm=None, batched=True):
