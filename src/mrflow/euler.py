@@ -50,18 +50,13 @@ class EosDomainError(RuntimeError):
 
 @dataclass(frozen=True)
 class GasConstants:
-    """Ideal-gas parameters; gamma = 1 + R/c_v always holds."""
-    R: float
-    c_v: float
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 + self.R / self.c_v
+    """Ideal gas: `GasConstants(gamma)`, the ratio of specific heats,
+    stored exactly as given."""
+    gamma: float
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "GasConstants":
-        c_v = 1.5
-        return cls(R=(gamma - 1.0) * c_v, c_v=c_v)
+        return cls(gamma)
 
 
 def kinetic_energy(rho, mx, my, mz):

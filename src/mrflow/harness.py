@@ -2,9 +2,9 @@
 
 `mrflow run` executes one multiphysics run across an SPMD worker group
 (threads by default, socket-paired processes on request), `mrflow plan`
-prints the weak-scaling ladder row for a given multiplier, and `mrflow
-report` merges per-run profile CSVs into one table with efficiencies
-plus a standalone plotting script.
+prints the weak-scaling ladder row for a given multiplier as the config
+that runs it, and `mrflow report` merges per-run profile CSVs into one
+table with efficiencies plus a standalone plotting script.
 
 Exit codes: 0 success, 2 configuration problems, 3 solver or worker
 failures, 4 output I/O failures.
@@ -195,14 +195,6 @@ def scaling_plan(n: int) -> PlanRow:
     )
 
 
-def apply_plan(cfg: RunConfig, row: PlanRow) -> RunConfig:
-    return replace(cfg, shape=row.shape,
-                   t_final=float(row.t_final),
-                   t_transient=float(row.t_transient),
-                   h_slow=float(row.h_slow),
-                   fast_ratio=1000.0).validate()
-
-
 # ---------------------------------------------------------------------------
 # the SPMD worker
 
@@ -217,7 +209,7 @@ class ReactionRhs:
         with self.profile.region(Region.FAST_RHS):
             chem = self.network.rhs(v.arrays[0], v.arrays[5])
             return ManyVector([np.zeros_like(a) for a in v.arrays[:5]] + [chem],
-                              v.global_lengths, v.comm, v.batched_reductions)
+                              v.global_length, v.comm, v.batched_reductions)
 
 
 def build_state(cfg: RunConfig, comm, decomp, n_tasks: int,
@@ -232,11 +224,9 @@ def build_state(cfg: RunConfig, comm, decomp, n_tasks: int,
     et_cgs = rho_cgs * chem_cgs[..., IEG]
     rho, m, et, chem = nondimensionalize(cfg.units, rho_cgs, zeros,
                                          et_cgs, chem_cgs)
-    n_cells = grid.n_cells
-    return ManyVector(
-        [rho, m[0], m[1], m[2], et, chem],
-        global_lengths=[n_cells] * 5 + [n_cells * N_SPECIES],
-        comm=comm, batched_reductions=fused)
+    return ManyVector([rho, m[0], m[1], m[2], et, chem],
+                      global_length=grid.n_cells * (5 + N_SPECIES),
+                      comm=comm, batched_reductions=fused)
 
 
 def _gather_field(comm, decomp, a, tag):
@@ -319,7 +309,6 @@ def simulation_worker(comm, cfg: RunConfig, n_tasks: int, fused: bool):
     summary = aggregate(comm, profile, result.n_slow_steps)
     sums = comm.allreduce([float(np.sum(a)) for a in state.arrays], "sum")
     info = {
-        "rank": comm.rank,
         "n_slow_steps": result.n_slow_steps,
         "fast_stats": asdict(result.fast_stats),
         "newton_stats": asdict(newton.stats),
@@ -464,8 +453,6 @@ print("wrote scaling.png")
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.plan is not None:
-        cfg = apply_plan(cfg, scaling_plan(args.plan))
     if args.csv:
         cfg = replace(cfg, csv_path=args.csv)
     if args.snapshot:
@@ -495,12 +482,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    """The row as two comment lines, then as the config that runs it."""
     row = scaling_plan(args.n)
-    print(f"n={row.n} nodes={row.nodes} tasks={row.tasks} "
-          f"mesh={row.shape[0]}x{row.shape[1]}x{row.shape[2]} "
-          f"unknowns={row.unknowns}")
-    print(f"h_slow={row.h_slow} h_fast={row.h_fast} t_final={row.t_final} "
+    nx, ny, nz = row.shape
+    print(f"# n={row.n} nodes={row.nodes} tasks={row.tasks} "
+          f"mesh={nx}x{ny}x{nz} unknowns={row.unknowns}")
+    print(f"# h_slow={row.h_slow} h_fast={row.h_fast} t_final={row.t_final} "
           f"t_transient={row.t_transient} slow_steps={row.slow_steps}")
+    print(f"[grid]\nnx = {nx}\nny = {ny}\nnz = {nz}\n[time]")
+    for key in ("t_final", "t_transient", "h_slow"):
+        print(f"{key} = {float(getattr(row, key))!r}")
+    print(f"fast_ratio = {float(row.h_slow / row.h_fast)!r}")
     return 0
 
 
@@ -524,15 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker count (default: 1)")
     run_p.add_argument("--unfused", action="store_true",
                        help="binary vector kernels and one reduction per slot")
-    run_p.add_argument("--plan", type=int, default=None, metavar="N",
-                       help="override grid/stepping from the scaling ladder")
     run_p.add_argument("--csv", default="", help="write profile CSV here")
     run_p.add_argument("--snapshot", default="", help="write final state here")
     run_p.add_argument("--transport", choices=("threads", "sockets"),
                        default="threads")
     run_p.set_defaults(func=_cmd_run)
 
-    plan_p = sub.add_parser("plan", help="print a weak-scaling ladder row")
+    plan_p = sub.add_parser("plan", help="print a weak-scaling ladder row"
+                            " as a run config")
     plan_p.add_argument("--n", type=int, required=True)
     plan_p.set_defaults(func=_cmd_plan)
 

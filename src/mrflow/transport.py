@@ -77,12 +77,15 @@ _REDUCE_OPS = {
 class Communicator:
     """One task's messaging and collectives over its own socket ends.
 
-    conns maps each peer rank to this task's end of their pair, so a
-    1-task communicator is `Communicator(0, 1, {})`. A thread per peer
-    drains its socket into that peer's mailbox; a send to this task
-    itself goes straight into its own. When a connection ends, its
-    thread queues an error entry naming the peer after every message
-    before it; every later recv from that peer raises it.
+    `Communicator(rank, conns)`: conns maps every other rank of the
+    group to this task's end of their pair, so the group has
+    len(conns) + 1 tasks and `Communicator(0, {})` is the 1-task group.
+    A send to or receive from a rank outside 0..size-1 raises
+    ProtocolError. A thread per peer drains its socket into that peer's
+    mailbox; a send to this task itself goes straight into its own.
+    When a connection ends, its thread queues an error entry naming the
+    peer after every message before it; every later recv from that peer
+    raises it.
 
     Collective results are combined in rank order on task 0 and
     broadcast, so every task sees bit-identical values regardless of
@@ -92,14 +95,15 @@ class Communicator:
     this task's messages.
     """
 
-    def __init__(self, rank: int, size: int, conns: dict):
+    def __init__(self, rank: int, conns: dict):
         self.rank = rank
-        self.size = size
+        self.size = len(conns) + 1
         self.ledger = None
         self.counters = TrafficCounters()
         self._coll_seq = 0
         self._conns = conns  # peer rank -> socket
-        self._boxes = [queue.Queue() for _ in range(size)]  # (tag, payload)
+        # one mailbox of (tag, payload) per rank
+        self._boxes = [queue.Queue() for _ in range(self.size)]
         for peer, sock in conns.items():
             threading.Thread(target=self._pump, args=(peer, sock),
                              daemon=True).start()
@@ -128,7 +132,13 @@ class Communicator:
             sock.close()
 
     # point-to-point ----------------------------------------------------
+    def _check_rank(self, peer):
+        if not 0 <= peer < self.size:
+            raise ProtocolError(f"task {self.rank}: no task {peer} in a group"
+                                f" of {self.size}")
+
     def send(self, dst: int, tag, payload: bytes):
+        self._check_rank(dst)
         if dst == self.rank:
             self._boxes[dst].put((str(tag), payload))
         else:
@@ -146,6 +156,7 @@ class Communicator:
         """The next message from src, which must carry `tag`. Only an
         earlier send of this task fills its own box, so a receive from
         itself fails at once when the box is empty."""
+        self._check_rank(src)
         box = self._boxes[src]
         try:
             got_tag, payload = (box.get_nowait() if src == self.rank
@@ -217,7 +228,7 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float | None = 900.0):
     `timeout` deadline (None: no deadline); every end is closed on the
     way out, so a timeout or an interrupt frees receives from peers.
     """
-    comms = [Communicator(rank, n_tasks, own)
+    comms = [Communicator(rank, own)
              for rank, own in enumerate(_socket_pairs(n_tasks))]
     results = [None] * n_tasks
     failures = []
@@ -250,13 +261,13 @@ def run_spmd(n_tasks: int, fn, *args, timeout: float | None = 900.0):
     return results
 
 
-def _socket_child(rank, n_tasks, conn, ends, fn, args):
+def _socket_child(rank, conn, ends, fn, args):
     # a copy of a peer's end held here would hide that peer's EOF if it dies
     for r, own in enumerate(ends):
         if r != rank:
             for sock in own.values():
                 sock.close()
-    comm = Communicator(rank, n_tasks, ends[rank])
+    comm = Communicator(rank, ends[rank])
     try:
         conn.send((True, fn(comm, *args)))
     except BaseException as exc:  # noqa: BLE001
@@ -310,7 +321,7 @@ def run_spmd_sockets(n_tasks: int, fn, *args, timeout: float | None = 300.0):
     pipes = [ctx.Pipe() for _ in range(n_tasks)]
     conns = [parent_end for parent_end, _ in pipes]
     procs = [ctx.Process(target=_socket_child,
-                         args=(r, n_tasks, pipes[r][1], ends, fn, args))
+                         args=(r, pipes[r][1], ends, fn, args))
              for r in range(n_tasks)]
     deadline = None if timeout is None else time.monotonic() + timeout
     for p in procs:

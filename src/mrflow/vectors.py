@@ -38,35 +38,33 @@ class ReductionLedger:
 class ManyVector:
     """Ordered subvectors sharing one communicator (None: task-local).
 
-    arrays may have any shapes; all arithmetic is elementwise over each
-    array. global_lengths are the subvector lengths summed over tasks
-    (default: the local sizes); batched_reductions is the mode flag.
+    `ManyVector(arrays, global_length=None, comm=None,
+    batched_reductions=True)`: arrays may have any shapes, and all
+    arithmetic is elementwise over each array. global_length counts
+    the elements of all subvectors on all tasks (default: the local
+    sizes' sum); batched_reductions is the mode flag.
     """
 
-    __slots__ = ("arrays", "global_lengths", "comm", "batched_reductions")
+    __slots__ = ("arrays", "global_length", "comm", "batched_reductions")
 
-    def __init__(self, arrays, global_lengths=None, comm=None,
+    def __init__(self, arrays, global_length=None, comm=None,
                  batched_reductions=True):
         self.arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        if global_lengths is None:
-            global_lengths = [a.size for a in self.arrays]
-        self.global_lengths = list(global_lengths)
+        if global_length is None:
+            global_length = sum(a.size for a in self.arrays)
+        self.global_length = int(global_length)
         self.comm = comm
         self.batched_reductions = batched_reductions
 
     # structure ----------------------------------------------------------
-    @property
-    def global_length(self) -> int:
-        return int(sum(self.global_lengths))
-
     def clone_empty(self) -> "ManyVector":
         return ManyVector([np.empty_like(a) for a in self.arrays],
-                          self.global_lengths, self.comm,
+                          self.global_length, self.comm,
                           self.batched_reductions)
 
     def copy(self) -> "ManyVector":
         return ManyVector([a.copy() for a in self.arrays],
-                          self.global_lengths, self.comm,
+                          self.global_length, self.comm,
                           self.batched_reductions)
 
     def fill(self, value: float):

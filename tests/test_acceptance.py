@@ -309,8 +309,8 @@ def _newton_comm_worker(comm):
 
     arrays = [np.zeros((1, 1, 1)) for _ in range(5)]
     arrays.append(np.full((1, 1, 1, 1), 1.0))
-    lengths = [a.size * comm.size for a in arrays]
-    y = ManyVector(arrays, global_lengths=lengths, comm=comm)
+    length = sum(a.size for a in arrays) * comm.size
+    y = ManyVector(arrays, global_length=length, comm=comm)
     weights = error_weights(y, 1e-5, 1e-9)
     eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
                        nb=6)
@@ -363,8 +363,8 @@ def _wrms_rounds(comm, batched):
     rng = np.random.default_rng(SEED + comm.rank)
     arrays = [rng.standard_normal((2, 2, 2)) for _ in range(5)]
     arrays.append(rng.standard_normal((2, 2, 2, 3)))
-    lengths = [a.size * comm.size for a in arrays]
-    v = ManyVector(arrays, global_lengths=lengths, comm=comm,
+    length = sum(a.size for a in arrays) * comm.size
+    v = ManyVector(arrays, global_length=length, comm=comm,
                    batched_reductions=batched)
     wrms_norm(v, error_weights(v, 1e-5, 1e-9))
     return ledger.global_reduction_count

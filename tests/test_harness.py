@@ -16,8 +16,8 @@ from mrflow import harness
 from mrflow.ark import SolverError
 from mrflow.chemistry import IEG, N_SPECIES, UnitSystem
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
-                            RunConfig, _global_mean_eg, apply_plan,
-                            build_state, emit_report, gather_state,
+                            RunConfig, _global_mean_eg, build_state,
+                            emit_report, gather_state,
                             load_config, main, read_profile_csv,
                             scaling_plan, simulation_worker,
                             write_profile_csv)
@@ -209,13 +209,19 @@ def test_scaling_plan_rejects_nonpositive_multiplier():
         scaling_plan(0)
 
 
-def test_apply_plan_overrides_mesh_and_stepping():
-    cfg = apply_plan(_tiny_cfg(), scaling_plan(1))
-    assert cfg.shape == (125, 100, 100)
-    assert cfg.h_slow == 0.1
-    assert cfg.t_final == 1.0
-    assert cfg.t_transient == 0.1
-    assert cfg.fast_ratio == 1000.0
+def test_plan_prints_the_row_as_a_config(tmp_path, capsys):
+    # shape, t_final, t_transient, h_slow, fast_ratio of each row
+    rows = {1: ((125, 100, 100), 1.0, 0.1, 0.1, 1000.0),
+            2: ((250, 200, 200), 0.5, 0.1, 0.05, 1000.0),
+            3: ((375, 300, 300), 0.3333333333333333, 0.1,
+                0.03333333333333333, 1000.0)}
+    for n, want in rows.items():
+        assert main(["plan", "--n", str(n)]) == 0
+        ini = tmp_path / f"row{n}.ini"
+        ini.write_text(capsys.readouterr().out)
+        cfg = load_config(str(ini))
+        assert (cfg.shape, cfg.t_final, cfg.t_transient, cfg.h_slow,
+                cfg.fast_ratio) == want
 
 
 # ------------------------------------------------------------------- state
@@ -227,7 +233,7 @@ def test_build_state_layout_and_determinism():
     a = build_state(cfg, None, decomp, 1, True)
     assert a.batched_reductions
     assert not build_state(cfg, None, decomp, 1, False).batched_reductions
-    assert a.global_lengths == [512] * 5 + [512 * N_SPECIES]
+    assert a.global_length == 512 * (5 + N_SPECIES)
     assert a.arrays[5].shape == (8, 8, 8, N_SPECIES)
     for m in a.arrays[1:4]:
         assert np.all(m == 0.0)

@@ -145,7 +145,7 @@ def test_periodic_exchange_matches_global_oracle(n_tasks):
 
 
 def _self_comm():
-    return Communicator(0, 1, {})
+    return Communicator(0, {})
 
 
 def test_exchange_protocol_errors():

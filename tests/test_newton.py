@@ -133,8 +133,7 @@ def _state(shape, n_chem, comm=None, batched=True):
     n = int(np.prod(shape))
     arrays = [np.zeros(shape) for _ in range(5)] + [np.zeros(shape + (n_chem,))]
     size = comm.size if comm is not None else 1
-    gl = [n * size] * 5 + [n * n_chem * size]
-    return ManyVector(arrays, global_lengths=gl, comm=comm,
+    return ManyVector(arrays, global_length=n * (5 + n_chem) * size, comm=comm,
                       batched_reductions=batched)
 
 

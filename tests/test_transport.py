@@ -104,7 +104,7 @@ def test_point_to_point_and_can_recv():
 
 
 def test_tag_mismatch_is_protocol_error():
-    comm = Communicator(0, 1, {})
+    comm = Communicator(0, {})
     comm.send(0, "right", b"x")
     with pytest.raises(ProtocolError):
         comm.recv(0, "wrong")
@@ -113,7 +113,7 @@ def test_tag_mismatch_is_protocol_error():
 def test_recv_timeout_is_transport_error(monkeypatch):
     monkeypatch.setattr(transport, "DEFAULT_TIMEOUT", 0.2)
     own, peer = socket.socketpair()    # the peer stays open and silent
-    comm = Communicator(0, 2, {1: own})
+    comm = Communicator(0, {1: own})
     try:
         with pytest.raises(TransportError, match=r"recv timeout: task 0 waiting on 1"):
             comm.recv(1, "never")
@@ -128,6 +128,24 @@ def test_self_recv_with_nothing_sent_fails_at_once():
     with pytest.raises(ProtocolError, match="receive from itself"):
         run_spmd(2, lambda c: c.recv(c.rank, "x"), timeout=5)
     assert time.monotonic() - start < 0.5
+    assert not [t for t in set(threading.enumerate()) - before
+                if t.name.startswith("task-") and t.is_alive()]
+
+
+@pytest.mark.parametrize("op, peer", [("recv", -1), ("send", 5), ("recv", 7)])
+def test_rank_outside_the_group_is_protocol_error(op, peer):
+    def fn(comm):
+        if comm.rank == 0:
+            if op == "send":
+                comm.send(peer, "x", b"y")
+            else:
+                comm.recv(peer, "x")
+    before = set(threading.enumerate())
+    start = time.monotonic()
+    with pytest.raises(ProtocolError,
+                       match=rf"^task 0: no task {peer} in a group of 2$"):
+        run_spmd(2, fn, timeout=5)
+    assert time.monotonic() - start < 1.0
     assert not [t for t in set(threading.enumerate()) - before
                 if t.name.startswith("task-") and t.is_alive()]
 
@@ -190,8 +208,8 @@ def _recv_within(comm, src, tag, seconds):
 def test_closed_socket_peer_fails_recv_fast():
     # no processes: two communicators on a socketpair, one of them closed
     a, b = socket.socketpair()
-    survivor = Communicator(0, 2, {1: a})
-    peer = Communicator(1, 2, {0: b})
+    survivor = Communicator(0, {1: a})
+    peer = Communicator(1, {0: b})
     peer.send(0, "first", b"one")
     peer.send(0, "second", b"two")
     peer.close()
@@ -213,8 +231,8 @@ def test_closed_socket_peer_fails_recv_fast():
 
 def test_send_to_closed_peer_is_transport_error():
     a, b = socket.socketpair()
-    sender = Communicator(0, 2, {1: a})
-    Communicator(1, 2, {0: b}).close()
+    sender = Communicator(0, {1: a})
+    Communicator(1, {0: b}).close()
     try:
         start = time.monotonic()
         with pytest.raises(TransportError,

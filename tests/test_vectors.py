@@ -127,7 +127,7 @@ def _dist(comm, n_sub, batched):
     arrays = [np.full(2, float(comm.rank + 1 + i)) for i in range(n_sub)]
     ledger = ReductionLedger()
     comm.ledger = ledger
-    v = ManyVector(arrays, global_lengths=[2 * comm.size] * n_sub,
+    v = ManyVector(arrays, global_length=2 * comm.size * n_sub,
                    comm=comm, batched_reductions=batched)
     return v, ledger
 
@@ -156,7 +156,7 @@ def test_unbatched_wrms_is_one_round_per_subvector():
 def test_global_length_in_wrms_denominator():
     # same local data, denominator must use the global length
     def fn(comm):
-        v = ManyVector([np.ones(2)], global_lengths=[2 * comm.size],
+        v = ManyVector([np.ones(2)], global_length=2 * comm.size,
                        comm=comm)
         return wrms_norm(v, v.copy())
     assert run_spmd(4, fn)[0] == pytest.approx(1.0, abs=1e-15)
@@ -206,10 +206,9 @@ def test_snapshot_truncated(tmp_path):
 
 
 def test_clone_empty_preserves_structure():
-    v = mv([1.0], [[2.0, 3.0]], global_lengths=[1, 4],
-           batched_reductions=False)
+    v = mv([1.0], [[2.0, 3.0]], global_length=5, batched_reductions=False)
     c = v.clone_empty()
     assert [a.shape for a in c.arrays] == [(1,), (1, 2)]
-    assert c.global_lengths == v.global_lengths
     assert c.global_length == 5
+    assert mv([1.0], [[2.0, 3.0]]).global_length == 3
     assert c.batched_reductions is False
