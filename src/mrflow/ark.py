@@ -119,8 +119,9 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
               weights, err_out=None):
     """One diagonally implicit step; y is untouched, the new state
     y + h*sum b_i k_i is returned. newton and weights are read only by
-    implicit stages. If err_out is given and the table has an embedding,
-    the local error h*sum (b_i - b~_i) k_i is written there.
+    implicit stages; one without newton raises SolverError. If err_out
+    is given and the table has an embedding, the local error
+    h*sum (b_i - b~_i) k_i is written there.
 
     Stage derivatives come from k_i = (z_i - a_i)/(h*a_ii); the previous
     implicit stage value is the predictor for the next one.
@@ -135,6 +136,9 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
         if aii == 0.0:
             ks.append(f(t + table.c[i] * h, a_vec))
             continue
+        if newton is None:
+            raise SolverError(f"table {table.name} stage {i + 1} is implicit "
+                              "and needs a Newton engine")
         if z is None:
             z = y.copy()
         newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights)

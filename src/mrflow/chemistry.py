@@ -265,24 +265,3 @@ class SurrogateNetwork:
             -q * d_b_h2 / rho, -q * d_b_eg / rho,
         )
         return np.stack([np.broadcast_to(c, np.shape(h)) for c in cols], axis=-1)
-
-    def single_cell_ode(self, rho: float = 1.0):
-        """(f, jac) over y = (H, H2, e_g) for one cell; test helper."""
-        def f(t, y):
-            chem = np.zeros(N_SPECIES)
-            chem[IH], chem[IH2], chem[IEG] = y
-            d = self.rhs(rho, chem)
-            return np.array([d[IH], d[IH2], d[IEG]])
-
-        def jac(t, y):
-            chem = np.zeros(N_SPECIES)
-            chem[IH], chem[IH2], chem[IEG] = y
-            vals = self.jacobian_values(rho, chem)
-            idx = {(5 + IH): 0, (5 + IH2): 1, (5 + IEG): 2}
-            out = np.zeros((3, 3))
-            for (r, c), v in zip(self.PATTERN, vals):
-                if r in idx and c in idx:
-                    out[idx[r], idx[c]] = v
-            return out
-
-        return f, jac

@@ -45,7 +45,7 @@ class UniformGrid:
         if any(n < 1 for n in self.shape):
             raise MeshError(f"grid shape must be positive, got {self.shape}")
         for lo, hi in self.bounds:
-            if not hi > lo:
+            if not (hi > lo and np.isfinite(hi - lo)):
                 raise MeshError(f"degenerate bounds {self.bounds}")
 
     @property
@@ -121,6 +121,8 @@ class Decomposition:
         self.rank = rank
         self.bcs = tuple(bcs)
         self.layout = dims_create(n_tasks)
+        if not 0 <= rank < n_tasks:
+            raise MeshError(f"rank {rank} is outside a layout of {n_tasks} tasks")
         if any(p > n for p, n in zip(self.layout, grid.shape)):
             raise MeshError(f"layout {self.layout} exceeds grid {grid.shape}")
         if any(n // p < HALO_DEPTH for p, n in zip(self.layout, grid.shape)):

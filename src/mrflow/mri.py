@@ -19,16 +19,16 @@ bookkeeping reconcile the duplicated gas energy; see chemistry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ark import (ButcherTable, IntegrationStats, SolverError,
-                  adaptive_evolve, fixed_evolve, sdirk4)
+                  adaptive_evolve, fixed_evolve)
 from .profiling import Profile, Region
 from .vectors import fused_linear_combination
 
-FAST_START_FRACTION = 0.01   # initial fast step = h_max / 100
+FAST_START_FRACTION = 0.01   # initial fast step = cap / 100
 
 
 class CouplingError(ValueError):
@@ -37,13 +37,12 @@ class CouplingError(ValueError):
 
 @dataclass
 class FastSolve:
-    """How to integrate the fast sub-IVPs: mode "fixed" steps by h_fixed;
+    """How to integrate the fast sub-IVPs. Mode "fixed" steps by h;
     mode "adaptive" controls the error to rtol/atol, with steps capped at
-    h_max and the stage width and ark.DEFAULT_MAX_STEPS attempts a stage."""
-    table: ButcherTable = field(default_factory=sdirk4)
+    min(stage width, h) and ark.DEFAULT_MAX_STEPS attempts a stage."""
+    table: ButcherTable
     mode: str = "adaptive"
-    h_fixed: float = 0.0
-    h_max: float = np.inf
+    h: float = np.inf
     rtol: float = 1e-5
     atol: float = 1e-9
 
@@ -91,7 +90,8 @@ def mri_forcing(coupling: MRICoupling, i: int, slow_rhs, out):
 def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
              fast: FastSolve, newton=None, hooks=None,
              fast_stats: IntegrationStats = None):
-    """One slow step; returns the new state, y is untouched."""
+    """One slow step; returns the new state, y is untouched. fast.h is
+    the fast step in mode "fixed" and its cap in mode "adaptive"."""
     if fast_stats is None:
         fast_stats = IntegrationStats()
     z = y.copy()
@@ -120,11 +120,11 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
             t_b = t + coupling.c[i + 1] * h
             try:
                 if fast.mode == "fixed":
-                    fixed_evolve(tendency, z, t_a, t_b, fast.h_fixed,
+                    fixed_evolve(tendency, z, t_a, t_b, fast.h,
                                  fast.table, newton=newton, rtol=fast.rtol,
                                  atol=fast.atol, stats=fast_stats)
                 else:
-                    cap = min(t_b - t_a, fast.h_max)
+                    cap = min(t_b - t_a, fast.h)
                     adaptive_evolve(tendency, z, t_a, t_b, fast.table,
                                     rtol=fast.rtol, atol=fast.atol,
                                     h0=FAST_START_FRACTION * cap, h_max=cap,
@@ -148,18 +148,19 @@ class EvolveResult:
 
 def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
                      t0: float, t_split: float, tf: float, h_slow: float,
-                     fast_transient: FastSolve, fast_fixed: FastSolve,
-                     newton=None, hooks=None, profile=None) -> EvolveResult:
-    """Transient phase with adaptive fast stepping, then a measured
-    phase with fixed fast steps; each phase is timed in its own region."""
+                     fast: FastSolve, newton=None, hooks=None,
+                     profile=None) -> EvolveResult:
+    """Transient phase, then a measured phase; each phase is timed in
+    its own region. The phases set the mode of `fast`: the transient
+    steps adaptively, the measured phase in fixed steps of fast.h."""
     if not (np.isfinite(h_slow) and h_slow > 0.0):
         raise SolverError(
             f"slow step must be positive and finite, got {h_slow!r}")
     profile = profile if profile is not None else Profile()
     fast_stats = IntegrationStats()
     n_slow = 0
-    phases = ((t0, t_split, fast_transient, Region.TRANSIENT),
-              (t_split, tf, fast_fixed, Region.FIXED_STEP))
+    phases = ((t0, t_split, replace(fast, mode="adaptive"), Region.TRANSIENT),
+              (t_split, tf, replace(fast, mode="fixed"), Region.FIXED_STEP))
     for t_a, t_b, fast_cfg, region in phases:
         t = t_a
         tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t_a), abs(t_b))

@@ -14,6 +14,8 @@ from mrflow.newton import NewtonEngine
 from mrflow.testsuite import observed_order, reference_ivp
 from mrflow.vectors import ManyVector
 
+from cell_ode import single_cell_ode
+
 
 # ---------------------------------------------------------------- tables
 
@@ -202,6 +204,12 @@ def test_dirk_step_zero_rhs_is_identity():
                     table, w, err_out=err)
     assert out.arrays[5][0, 0, 0, 0] == 3.0
     assert err.arrays[5][0, 0, 0, 0] == 0.0
+
+
+def test_implicit_stage_without_newton_names_table_and_stage():
+    y = _cell_state([1.0], 1)
+    with pytest.raises(SolverError, match="sdirk4 stage 1 is implicit"):
+        erk_step(_chem_rhs(lambda t, c: -c), 0.0, 0.1, y, sdirk4())
 
 
 def test_dirk_embedded_error_hand_value():
@@ -493,7 +501,7 @@ def test_adaptive_surrogate_network_meets_tolerances():
                     h0=1e-6, h_max=1e-2, newton=eng, stats=stats,
                     step_log=log)
 
-    fr, jr = net.single_cell_ode(rho=1.0)
+    fr, jr = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(fr, [1.0, 0.0, 1.0], (0.0, 0.1), jac=jr, stiff=True)
     got = y.arrays[5][0, 0, 0, [IH, IH2, IEG]]
     w = 1.0 / (rtol * np.abs(ref) + atol)

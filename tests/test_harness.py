@@ -155,11 +155,13 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.ini")
 
 
+# the grid shape, bounds and bc are checked once, by the mesh layer
+# (test_cli_rejects_bad_grid_as_config_error)
 @pytest.mark.parametrize("field,value", [
-    ("shape", (0, 8, 8)),
-    ("bounds", ((0.0, 0.0), (0.0, 1.0), (0.0, 1.0))),
-    ("bc", "slippery"),
-    ("bc", "dirichlet"),        # negated et in the ghosts fails the EOS
+    ("bounds", ((0.0, float("inf")), (0.0, 1.0), (0.0, 1.0))),
+    ("t_final", float("inf")),
+    ("q", float("nan")),
+    ("t_transient", -0.05),
     ("h_slow", 0.0),
     ("t_transient", 0.3),       # exceeds t_final = 0.1
     ("fast_ratio", 0.5),
@@ -445,6 +447,23 @@ def test_cli_rejects_dirichlet_as_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "dirichlet" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("nx", "0", "grid shape must be positive"),
+    ("x1", "0.0", "degenerate bounds"),
+    ("bc", "slippery", "unknown boundary condition 'slippery'"),
+], ids=["nx-0", "x1-0.0", "bc-slippery"])
+def test_cli_rejects_bad_grid_as_config_error(tmp_path, capsys, key, value,
+                                              message):
+    grid = {"nx": "8", "ny": "8", "nz": "8", key: value}
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace(
+        "nx = 8\nny = 8\nnz = 8\n",
+        "".join(f"{k} = {v}\n" for k, v in grid.items())))
+    assert main(["run", "--config", str(ini), "--tasks", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):

@@ -26,6 +26,8 @@ def test_grid_validation():
         UniformGrid((0, 4, 4), BOUNDS)
     with pytest.raises(MeshError):
         UniformGrid((4, 4, 4), ((0.0, 0.0), (0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(MeshError, match="degenerate"):
+        UniformGrid((4, 4, 4), ((0.0, np.inf), (0.0, 1.0), (0.0, 1.0)))
 
 
 def test_dims_create_known_layouts():
@@ -89,6 +91,13 @@ def test_bc_validation():
         Decomposition(grid, 1, 0, (PERIODIC,) * 5)
     with pytest.raises(MeshError, match="unknown"):
         Decomposition(grid, 1, 0, ("nonsense",) * 6)
+
+
+@pytest.mark.parametrize("n_tasks,rank", [(1, -1), (1, 1), (2, -1), (2, 2)])
+def test_rank_outside_layout_is_rejected(n_tasks, rank):
+    with pytest.raises(MeshError, match=f"rank {rank} .* {n_tasks} tasks"):
+        Decomposition(UniformGrid((8, 8, 8), BOUNDS), n_tasks, rank,
+                      (PERIODIC,) * 6)
 
 
 def test_layout_cannot_exceed_grid():

@@ -4,7 +4,7 @@ slow-limit equivalence, and the two-phase evolution driver."""
 import numpy as np
 import pytest
 
-from mrflow import ark
+from mrflow import ark, mri
 from mrflow.ark import (ButcherTable, IntegrationStats, SolverError,
                         bogacki_shampine_32, classic_rk4, erk_step,
                         fixed_evolve, knoth_wolke_3, sdirk4)
@@ -127,7 +127,7 @@ def test_slow_limit_matches_standalone_erk():
     table = knoth_wolke_3()
     cpl = MRICoupling(table)
     y = _pair_state(1.0, 0.25)
-    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=1.0)
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h=1.0)
     got = mri_step(cpl, _rotation_rhs, _zero_rhs, 0.0, 0.2, y, fast)
     want = erk_step(_rotation_rhs, 0.0, 0.2, y, table)
     for g, w in zip(got.arrays, want.arrays):
@@ -144,7 +144,7 @@ def test_degenerate_stage_takes_explicit_update():
     cpl = MRICoupling(repeated)
     hooks = _RecordingHooks()
     y = _pair_state(0.8, -0.3)
-    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=1.0)
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h=1.0)
     got = mri_step(cpl, _rotation_rhs, _zero_rhs, 0.0, 0.1, y, fast,
                    hooks=hooks)
     # only the two nonzero-width intervals ran a fast solve
@@ -170,7 +170,7 @@ def test_pure_fast_solve_when_slow_rhs_vanishes():
         return out
 
     y = _pair_state(2.0, 0.6)
-    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=0.125)
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h=0.125)
     got = mri_step(cpl, _zero_rhs, decay, 0.0, 1.0, y, fast)
     want, _ = fixed_evolve(decay, y.copy(), 0.0, 1.0, 0.125, classic_rk4())
     for g, w in zip(got.arrays, want.arrays):
@@ -193,7 +193,7 @@ class _RecordingHooks:
 def test_hooks_bracket_each_fast_interval():
     cpl = MRICoupling(knoth_wolke_3())
     hooks = _RecordingHooks()
-    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=1.0)
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h=1.0)
     h = 0.3
     mri_step(cpl, _rotation_rhs, _zero_rhs, 0.0, h, _pair_state(1.0, 0.0),
              fast, hooks=hooks)
@@ -230,10 +230,19 @@ def test_newton_engine_resets_for_every_fast_interval():
         out.arrays[5][...] = lam * (v.arrays[5] - 1.0)
         return out
 
-    fast = FastSolve(table=sdirk4(), mode="fixed", h_fixed=1.0)
+    fast = FastSolve(table=sdirk4(), mode="fixed", h=1.0)
     mri_step(cpl, _zero_rhs, fast_f, 0.0, 0.2, _cell_state(0.0), fast,
              newton=eng)
     assert eng.reset_calls == 3
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_implicit_fast_table_without_newton_names_the_stage(mode):
+    fast = FastSolve(table=sdirk4(), mode=mode, h=0.01)
+    with pytest.raises(SolverError,
+                       match="slow stage 1.*sdirk4 stage 1 is implicit"):
+        mri_step(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs, 0.0,
+                 0.1, _pair_state(1.0, 1.0), fast)
 
 
 # ---------------------------------------------------------------- failure
@@ -271,7 +280,7 @@ def test_fast_step_cap_forces_more_steps():
     capped = IntegrationStats()
     got = mri_step(cpl, _zero_rhs, _zero_rhs, 0.0, 1.0, y,
                    FastSolve(table=bogacki_shampine_32(), mode="adaptive",
-                             h_max=0.02),
+                             h=0.02),
                    fast_stats=capped)
     assert capped.steps > free.steps
     assert capped.last_h <= 0.02
@@ -283,11 +292,10 @@ def test_fast_step_cap_forces_more_steps():
 def test_evolve_two_phase_counts_steps_and_times_regions():
     cpl = MRICoupling(knoth_wolke_3())
     profile = Profile()
-    transient = FastSolve(table=bogacki_shampine_32(), mode="adaptive")
-    fixed = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=0.025)
+    fast = FastSolve(table=bogacki_shampine_32(), h=0.025)
     res = evolve_two_phase(cpl, _rotation_rhs, _zero_rhs,
                            _pair_state(1.0, 0.0), 0.0, 0.2, 0.6, 0.1,
-                           transient, fixed, profile=profile)
+                           fast, profile=profile)
     assert isinstance(res, EvolveResult)
     assert res.n_slow_steps == 6
     assert res.fast_stats.steps > 0
@@ -299,29 +307,44 @@ def test_evolve_two_phase_counts_steps_and_times_regions():
         [np.cos(0.6), np.sin(0.6)], rtol=1e-4)
 
 
+def test_evolve_two_phase_sets_the_fast_mode_per_phase(monkeypatch):
+    modes = []
+    real = mri.mri_step
+
+    def spy(*args, **kw):
+        modes.append(args[6].mode)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(mri, "mri_step", spy)
+    fast = FastSolve(table=bogacki_shampine_32(), mode="fixed", h=0.025)
+    evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs,
+                     _pair_state(1.0, 0.0), 0.0, 0.2, 0.6, 0.1, fast)
+    assert modes == ["adaptive"] * 2 + ["fixed"] * 4
+    assert fast.mode == "fixed"
+
+
 def test_evolve_two_phase_budget_is_per_fast_interval(monkeypatch):
     # a shared stats object across thousands of fast solves must not trip
     # the per-call attempt budget
     monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 40)
     cpl = MRICoupling(knoth_wolke_3())
-    fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive")
+    fast = FastSolve(table=bogacki_shampine_32(), h=0.01)
     res = evolve_two_phase(cpl, _zero_rhs, _zero_rhs, _pair_state(1.0, 1.0),
-                           0.0, 0.5, 1.0, 0.01, fast, fast)
+                           0.0, 0.5, 1.0, 0.01, fast)
     assert res.fast_stats.steps > 40
 
 
 @pytest.mark.parametrize("h_slow", [0.0, -0.05, float("nan"), float("inf")])
 def test_evolve_two_phase_rejects_bad_slow_step(h_slow):
-    fast = FastSolve(table=classic_rk4(), mode="fixed", h_fixed=0.025)
+    fast = FastSolve(table=classic_rk4(), h=0.025)
     with pytest.raises(SolverError, match="slow step"):
         evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs,
-                         _pair_state(1.0, 1.0), 0.0, 0.1, 0.2, h_slow,
-                         fast, fast)
+                         _pair_state(1.0, 1.0), 0.0, 0.1, 0.2, h_slow, fast)
 
 
 def test_fast_solve_rejects_unknown_mode():
     with pytest.raises(ValueError, match="'Fixed'"):
-        FastSolve(table=classic_rk4(), mode="Fixed", h_fixed=0.01)
+        FastSolve(table=classic_rk4(), mode="Fixed", h=0.01)
 
 
 # ------------------------------------------------------------ order study
@@ -354,7 +377,7 @@ def test_mri_observed_order_is_third():
     for k in range(4):
         h = 0.025 / 2 ** k
         fast = FastSolve(table=bogacki_shampine_32(), mode="fixed",
-                         h_fixed=h / 50.0)
+                         h=h / 50.0)
         y = _pair_state(1.0, 1.0)
         t = 0.0
         while t < tf - 1e-12:
