@@ -1,6 +1,8 @@
 """WENO5 Euler right-hand side: pointwise oracles, decomposition
 independence, accuracy on a smooth advected wave."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,16 +114,39 @@ def _weno_left_oracle(f, eps):
     return float(w @ q)
 
 
+def _weno5_left_reference(f0, f1, f2, f3, f4, eps):
+    """Left-biased WENO5 value at the face just right of cell f2, as plain
+    expressions: the form `_weno5_left` evaluates in place, step for step."""
+    p0 = (2.0 * f0 - 7.0 * f1 + 11.0 * f2) / 6.0
+    p1 = (-f1 + 5.0 * f2 + 2.0 * f3) / 6.0
+    p2 = (2.0 * f2 + 5.0 * f3 - f4) / 6.0
+    b0 = (13.0 / 12.0) * (f0 - 2.0 * f1 + f2) ** 2 + 0.25 * (f0 - 4.0 * f1 + 3.0 * f2) ** 2
+    b1 = (13.0 / 12.0) * (f1 - 2.0 * f2 + f3) ** 2 + 0.25 * (f1 - f3) ** 2
+    b2 = (13.0 / 12.0) * (f2 - 2.0 * f3 + f4) ** 2 + 0.25 * (3.0 * f2 - 4.0 * f3 + f4) ** 2
+    a0 = 0.1 / (eps + b0) ** 2
+    a1 = 0.6 / (eps + b1) ** 2
+    a2 = 0.3 / (eps + b2) ** 2
+    asum = a0 + a1 + a2
+    return (a0 * p0 + a1 * p1 + a2 * p2) / asum
+
+
+def _weno5(*f):
+    """`_weno5_left` on one stencil of five scalars."""
+    f = [np.array([x], dtype=float) for x in f]
+    scratch = [np.empty(1) for _ in range(5)]
+    return _weno5_left(f, WENO_EPS, scratch, np.empty(1))[0]
+
+
 def test_weno5_left_against_oracle():
     rng = np.random.default_rng(5)
     for _ in range(50):
         f = rng.standard_normal(5) * rng.choice([1e-3, 1.0, 1e3])
-        got = _weno5_left(*f, WENO_EPS)
+        got = _weno5(*f)
         assert got == pytest.approx(_weno_left_oracle(f, WENO_EPS), rel=1e-13)
 
 
 def test_weno5_reproduces_constants_exactly():
-    assert _weno5_left(4.0, 4.0, 4.0, 4.0, 4.0, WENO_EPS) == 4.0
+    assert _weno5(4.0, 4.0, 4.0, 4.0, 4.0) == 4.0
 
 
 def test_face_flux_consistency_on_uniform_state():
@@ -139,30 +164,68 @@ def test_face_flux_consistency_on_uniform_state():
 
 
 def _untiled_face_flux(w, f, lam, eps):
-    """The split-flux reconstruction on whole shifted views, in one go."""
+    """The split-flux reconstruction on whole shifted views, in one go,
+    with the expression form of WENO5."""
     n = len(lam) - 5
     speed = lam[:n]
     for k in range(1, 6):
         speed = np.maximum(speed, lam[k:k + n])
     plus = [0.5 * (f[k:k + n] + speed * w[k:k + n]) for k in range(5)]
     minus = [0.5 * (f[k:k + n] - speed * w[k:k + n]) for k in range(5, 0, -1)]
-    return _weno5_left(*plus, eps) + _weno5_left(*minus, eps)
+    return (_weno5_left_reference(*plus, eps)
+            + _weno5_left_reference(*minus, eps))
+
+
+def _face_inputs(shape, seed, scale=1.0, strided=False):
+    """Random states, fluxes and speeds of a (cells, fields, ...) block,
+    states and fluxes times `scale` (a number or an array of the block's
+    shape); `strided` returns transposed views of fields-last memory."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, shape) * scale
+    f = rng.standard_normal(shape) * scale
+    lam = rng.uniform(0.1, 3.0, (shape[0], 1) + shape[2:])
+    if strided:
+        return tuple(np.ascontiguousarray(a.T).T for a in (w, f, lam))
+    return w, f, lam
 
 
 def test_face_flux_tiles_are_bitwise_untiled():
-    # 40 faces of 15 fields x 16 x 16: tiles of 17, 17 and a partial 6
-    rng = np.random.default_rng(7)
-    fields_last = (16, 16, 15, 45)
-    w = rng.uniform(0.5, 2.0, fields_last)
-    f = rng.standard_normal(fields_last) * rng.choice([1e-3, 1.0, 1e3], fields_last)
-    lam = rng.uniform(0.1, 3.0, (16, 16, 1, 45))
-    assert TILE_BYTES // w.T[0].nbytes == 17
-    for args in ((w.T, f.T, lam.T),     # fields-last memory, strided views
-                 tuple(np.ascontiguousarray(a.T) for a in (w, f, lam))):
+    # 42 faces of 15 fields x 16 x 16: ten tiles of 4 and a partial 2
+    shape = (47, 15, 16, 16)
+    mixed = np.random.default_rng(3).choice([1e-3, 1.0, 1e3], shape)
+    for strided in (True, False):
+        args = _face_inputs(shape, 7, mixed, strided)
+        assert TILE_BYTES // args[0][0].nbytes == 4
         got = _face_flux(*args, WENO_EPS)
-        assert got.shape == (40, 15, 16, 16)
-        diff = np.abs(got - _untiled_face_flux(*args, WENO_EPS))
-        assert diff.max() == 0.0
+        assert got.shape == (42, 15, 16, 16)
+        assert np.array_equal(got, _untiled_face_flux(*args, WENO_EPS))
+
+
+# the x-axis blocks of the benchmark's hydro, reacting and stiff-sockets
+# workloads and of criterion 01: 1 face, 4 faces and whole-block tiles
+WORKLOAD_BLOCKS = {"hydro": (38, 15, 32, 32), "reacting": (22, 15, 16, 16),
+                   "stiff-sockets": (14, 15, 8, 8), "criterion-01": (134, 5, 4, 4)}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("block", WORKLOAD_BLOCKS)
+def test_face_flux_is_bitwise_expression_reference(block, strided, scale):
+    args = _face_inputs(WORKLOAD_BLOCKS[block], 11, scale, strided)
+    assert np.array_equal(_face_flux(*args, WENO_EPS),
+                          _untiled_face_flux(*args, WENO_EPS))
+
+
+@pytest.mark.parametrize("block", ["hydro", "reacting"])
+def test_face_flux_temporaries_stay_tile_sized(block):
+    args = _face_inputs(WORKLOAD_BLOCKS[block], 13)
+    tracemalloc.start()
+    try:
+        out = _face_flux(*args, WENO_EPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 16 * TILE_BYTES
 
 
 def _state(shape, n_chem, fill):
@@ -242,8 +305,8 @@ def test_rhs_with_halo_slabs_larger_than_a_socket_buffer():
 def _oracle_rhs(w, bcs, spacing, cell):
     """-div F at `cell` of the (nf, nx, ny, nz) state w, built from the
     6-cell stencils of its six faces, assembled cell by cell with `flux`
-    and `_weno5_left`. Ghost cells mirror owned ones per axis bc; reflect
-    flips the face-perpendicular momentum."""
+    and `_weno5_left_reference`. Ghost cells mirror owned ones per axis
+    bc; reflect flips the face-perpendicular momentum."""
     shape = w.shape[1:]
 
     def state(idx):
@@ -273,8 +336,8 @@ def _oracle_rhs(w, bcs, spacing, cell):
         lam = max(lams)
         plus = [0.5 * (f + lam * c) for f, c in zip(fs, ws)]
         minus = [0.5 * (f - lam * c) for f, c in zip(fs, ws)]
-        return (_weno5_left(*plus[:5], WENO_EPS)
-                + _weno5_left(*minus[:0:-1], WENO_EPS))
+        return (_weno5_left_reference(*plus[:5], WENO_EPS)
+                + _weno5_left_reference(*minus[:0:-1], WENO_EPS))
 
     div = None
     for axis, h in enumerate(spacing):
@@ -310,8 +373,9 @@ def test_rhs_matches_per_cell_stencil_oracle():
 
 
 def test_tiled_rhs_same_on_one_and_two_tasks():
-    # 15 fields: the 40-cell x axis runs in tiles of 17, 17 and 7 faces on
-    # one task and of 17 and 4 on each 20-cell half; y and z are tiled too
+    # 15 fields: the 40-cell x axis runs in ten tiles of 4 faces and one of
+    # 1 on one task and in five of 4 and one of 1 on each 20-cell half; y
+    # and z run in tiles of 1 face on one task and of 3 on each half
     shape, n_chem = (40, 16, 16), 10
     serial = _assemble(run_spmd(1, _rhs_worker, shape, 1, n_chem, PERIODIC),
                        shape, n_chem)
