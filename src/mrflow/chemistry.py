@@ -17,8 +17,9 @@ energy stays conserved.
 
 The reaction network itself is a two-species hydrogen-recombination
 surrogate acting on (H, H2, e_g) with mass exchanged as 2H <-> H2; the
-temperature feedback theta = e_g/e_ref makes it stiff. Its analytic
-Jacobian fills a fixed sparsity pattern inside the (5+n_c)^2 cell block.
+temperature feedback theta = e_g/e_ref makes it stiff. The fast solver
+sees only those three fields; the other twelve feel only their constant
+forcing r over a fast interval, so they move exactly, v + (tau - tau_a) r.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .euler import IET, IRHO, kinetic_energy
+from .vectors import ManyVector
 
 SPECIES = ("H", "H+", "H-", "H2", "H2+", "He", "He+", "He++", "e-", "e_g")
 N_SPECIES = len(SPECIES)
 IH, IHP, IHM, IH2, IH2P, IHE, IHEP, IHEPP, IE, IEG = range(N_SPECIES)
+FAST_SLOTS = (IH, IH2, IEG)      # the network's fields, in its row order
 
 # atomic weights used by the number-density and electron formulas
 W_H = 1.00794
@@ -172,35 +175,46 @@ def species_init(rho: np.ndarray, temperature: np.ndarray,
 # ---------------------------------------------------------------------------
 # energy bookkeeping between slow and fast phases
 
-def gas_energy_from_fluid(rho, mx, my, mz, et):
-    """Specific internal energy (e_t - kinetic) / rho."""
-    return (et - kinetic_energy(rho, mx, my, mz)) / rho
-
-
 def sync_gas_energy(state):
-    """Refresh the chemistry e_g slot from the fluid fields."""
+    """Refresh the chemistry e_g slot from the fluid: (e_t - kinetic) / rho."""
     rho, mx, my, mz, et, chem = state.arrays
-    chem[..., IEG] = gas_energy_from_fluid(rho, mx, my, mz, et)
+    chem[..., IEG] = (et - kinetic_energy(rho, mx, my, mz)) / rho
 
 
 class EnergyBookkeeping:
-    """Stage hooks reconciling the two stored energies (see module doc)."""
+    """Stage hooks (see module doc): prepare lifts H, H2 and e_g and
+    their forcing out of the state, which stays untouched until finalize
+    moves the other fields, writes the three back and moves the heating."""
 
-    def __init__(self):
-        self._eg_entry = None
-
-    def prepare(self, state, forcing):
+    def prepare(self, state, forcing, t):
         sync_gas_energy(state)
-        self._eg_entry = state.arrays[5][..., IEG].copy()
+        self._rho, self._r_rho, self._t = (state.arrays[IRHO],
+                                           forcing.arrays[IRHO], t)
+        return _lift(state), _lift(forcing)
 
-    def finalize(self, state, forcing, d_tau):
+    def density(self, t):
+        """rho at time t of the interval: rho_a + (t - tau_a) r_rho."""
+        return self._rho + (t - self._t) * self._r_rho
+
+    def finalize(self, state, forcing, fast, d_tau):
         rho = state.arrays[IRHO]
         chem = state.arrays[5]
-        r_eg = forcing.arrays[5][..., IEG]
-        heating = chem[..., IEG] - (self._eg_entry + d_tau * r_eg)
+        heating = fast.arrays[2] - (chem[..., IEG]
+                                    + d_tau * forcing.arrays[5][..., IEG])
+        for v, r in zip(state.arrays, forcing.arrays):
+            v += d_tau * r
+        for j, v in zip(FAST_SLOTS, fast.arrays):
+            chem[..., j] = v
         state.arrays[IET] += rho * heating
         sync_gas_energy(state)
-        self._eg_entry = None
+
+
+def _lift(v):
+    """H, H2 and e_g of v, one contiguous array each; the fields left out
+    count as zeros in norms, so the global length stays v's."""
+    chem = v.arrays[5]
+    return ManyVector([np.ascontiguousarray(chem[..., j]) for j in FAST_SLOTS],
+                      v.global_length, v.comm, v.batched_reductions)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +222,7 @@ class EnergyBookkeeping:
 
 @dataclass
 class SurrogateNetwork:
-    """Stiff H2-formation surrogate on (H, H2, e_g) with mass 2H <-> H2.
+    """Stiff H2-formation surrogate on y = (H, H2, e_g) with mass 2H <-> H2.
 
         dH/dt   = -2 k1 H^2 + 2 k2 H2 theta
         dH2/dt  =    k1 H^2 -   k2 H2 theta
@@ -224,44 +238,31 @@ class SurrogateNetwork:
     q: float = 1.0e-2
     e_ref: float = 1.0
 
-    # block-local (row, col) coordinates of the nonzero Jacobian entries;
-    # the block is (5 + n_c) wide with fluid fields first
-    PATTERN = (
-        (5 + IH, 5 + IH), (5 + IH, 5 + IH2), (5 + IH, 5 + IEG),
-        (5 + IH2, 5 + IH), (5 + IH2, 5 + IH2), (5 + IH2, 5 + IEG),
-        (5 + IEG, IRHO), (5 + IEG, 5 + IH), (5 + IEG, 5 + IH2),
-        (5 + IEG, 5 + IEG),
-    )
+    FIELDS = tuple(SPECIES[j] for j in FAST_SLOTS)
+    # (row, col) in FIELDS order of each Jacobian entry: a dense block
+    PATTERN = tuple((r, c) for r in range(3) for c in range(3))
 
-    def rates(self, chem) -> np.ndarray:
+    def rates(self, y):
         """Net rate k1 H^2 - k2 H2 theta of 2H -> H2 in each cell."""
-        h, h2 = chem[..., IH], chem[..., IH2]
-        return self.k1 * h * h - self.k2 * h2 * (chem[..., IEG] / self.e_ref)
+        h, h2, eg = y
+        return self.k1 * h * h - self.k2 * h2 * (eg / self.e_ref)
 
-    def rhs(self, rho, chem) -> np.ndarray:
-        """Time derivatives of the chemistry slots: a new array shaped like
-        chem, zero outside H, H2 and e_g; the caller owns it."""
-        out = np.zeros_like(chem)
-        net = self.rates(chem)
-        out[..., IH] = -2.0 * net
-        out[..., IH2] = net
-        out[..., IEG] = self.q * net / rho
-        return out
+    def rhs(self, rho, y) -> list:
+        """Time derivatives of y as three new arrays the caller owns."""
+        net = self.rates(y)
+        return [-2.0 * net, net, self.q * net / rho]
 
-    def jacobian_values(self, rho, chem) -> np.ndarray:
+    def jacobian_values(self, rho, y) -> np.ndarray:
         """Entries matching PATTERN, stacked on the last axis."""
-        h = chem[..., IH]
-        h2 = chem[..., IH2]
-        theta = chem[..., IEG] / self.e_ref
+        h, h2, eg = y
+        theta = eg / self.e_ref
         k1, k2, q = self.k1, self.k2, self.q
         d_f_h = 2.0 * k1 * h            # d(k1 H^2)/dH
         d_b_h2 = k2 * theta             # d(k2 H2 theta)/dH2
         d_b_eg = k2 * h2 / self.e_ref   # d(k2 H2 theta)/de_g
-        net = self.rates(chem)
         cols = (
             -2.0 * d_f_h, 2.0 * d_b_h2, 2.0 * d_b_eg,
             d_f_h, -d_b_h2, -d_b_eg,
-            -q * net / (rho * rho), q * d_f_h / rho,
-            -q * d_b_h2 / rho, -q * d_b_eg / rho,
+            q * d_f_h / rho, -q * d_b_h2 / rho, -q * d_b_eg / rho,
         )
         return np.stack([np.broadcast_to(c, np.shape(h)) for c in cols], axis=-1)

@@ -195,8 +195,9 @@ class EulerPipeline:
     """Slow right-hand side: f(t, w) = -div F(w), with no source term.
 
     Owns the halo exchanger and the extended arrays for one task. A call
-    stacks the divergence of all fields, summed over the axes, then
-    negates it into the output in one copy. Timing lands in regions: MPI
+    sums each field's divergence over the axes straight into the output,
+    one face difference at a time through one cell-sized scratch array,
+    then negates the output in place. Timing lands in regions: MPI
     for the halo exchange, Packing for copying the owned fields into the
     extended arrays, FDWENO for pointwise fluxes and reconstruction,
     Euler for the whole divergence build, SlowRhs for the full call.
@@ -214,22 +215,28 @@ class EulerPipeline:
     def __call__(self, t: float, state: ManyVector) -> ManyVector:
         prof = self.profile
         with prof.region(Region.SLOW_RHS):
+            out = state.clone_empty()
             with prof.region(Region.EULER):
                 with prof.region(Region.PACKING):
                     extend(state_fields(state), self.ext)
                 with prof.region(Region.MPI):
                     self.exchanger.begin(self.ext).finish()
                 # axis terms accumulated in x, y, z order
-                div = None
+                term = np.empty(self.decomp.local_shape)
                 for axis, (w, h) in enumerate(zip(self.ext,
                                                   self.decomp.grid.spacing)):
                     with prof.region(Region.FDWENO):
                         face = _face_flux(w, *self._pointwise(w, axis), WENO_EPS)
-                    term = np.moveaxis(np.diff(face, axis=0) / h, 0, 1 + axis)
-                    div = term if div is None else div + term
-            out = state.clone_empty()
-            for o, d in zip(state_fields(out), div):
-                np.multiply(d, -1.0, out=o)
+                    hi, lo = (np.moveaxis(face[s], 0, 1 + axis)
+                              for s in (np.s_[1:], np.s_[:-1]))
+                    for o, a, b in zip(state_fields(out), hi, lo):
+                        np.divide(np.subtract(a, b, out=term), h, out=term)
+                        if axis:
+                            o += term
+                        else:
+                            o[...] = term
+            for o in out.arrays:
+                np.negative(o, out=o)
         return out
 
     def _pointwise(self, w, axis):

@@ -248,9 +248,30 @@ def _global_mean_eg(comm, decomp, state) -> float:
     return comm.allreduce([mean], "sum")[0]
 
 
+def reaction_problem(network: SurrogateNetwork, profile: Profile):
+    """(fast_f, newton, hooks) for mri_step: the network on the fields the
+    hooks lift out, at the density they give."""
+    hooks = EnergyBookkeeping()
+
+    def fast_f(t, v):
+        with profile.region(Region.FAST_RHS):
+            return ManyVector(network.rhs(hooks.density(t), v.arrays),
+                              v.global_length, v.comm, v.batched_reductions)
+
+    newton = NewtonEngine(
+        lambda t, v: network.jacobian_values(hooks.density(t), v.arrays),
+        network.PATTERN, nb=len(network.FIELDS), profile=profile,
+        names=network.FIELDS)
+    return fast_f, newton, hooks
+
+
 def simulation_worker(comm, cfg: RunConfig, n_tasks: int, fused: bool):
     """Everything one task does for `mrflow run`. Returns a picklable
-    result dict; task 0 additionally writes the requested outputs."""
+    result dict; task 0 additionally writes the requested outputs.
+    n_tasks must be the group's size."""
+    if n_tasks != comm.size:
+        raise ConfigError(f"task {comm.rank}: n_tasks is {n_tasks} but the"
+                          f" group has {comm.size} tasks")
     ledger = ReductionLedger()
     comm.ledger = ledger
     profile = Profile()
@@ -265,16 +286,7 @@ def simulation_worker(comm, cfg: RunConfig, n_tasks: int, fused: bool):
             e_ref = _global_mean_eg(comm, decomp, state)
             network = SurrogateNetwork(cfg.k1, cfg.k2, cfg.q, e_ref)
 
-            def fast_f(t, v):   # zero fluid rows, the network's rhs as chemistry
-                with profile.region(Region.FAST_RHS):
-                    chem = network.rhs(v.arrays[0], v.arrays[5])
-                    return ManyVector(
-                        [np.zeros_like(a) for a in v.arrays[:5]] + [chem],
-                        v.global_length, v.comm, v.batched_reductions)
-            newton = NewtonEngine(
-                lambda t, v: network.jacobian_values(v.arrays[0], v.arrays[5]),
-                network.PATTERN, nb=5 + N_SPECIES, profile=profile)
-            hooks = EnergyBookkeeping()
+            fast_f, newton, hooks = reaction_problem(network, profile)
             coupling = MRICoupling(knoth_wolke_3())
             fast = FastSolve(sdirk4(), h=cfg.h_slow / cfg.fast_ratio,
                              rtol=cfg.rtol, atol=cfg.atol)

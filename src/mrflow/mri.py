@@ -13,8 +13,9 @@ fast physics runs at its own resolution. Stages with equal abscissae
 collapse to a plain explicit update. The fast solver starts each stage
 cold: fresh controller, fresh Jacobian cache.
 
-Stage hooks (prepare/finalize around each fast interval) let the energy
-bookkeeping reconcile the duplicated gas energy; see chemistry.
+The fast integrator advances the whole state, or what stage hooks hand
+it: hooks.prepare(state, forcing, tau_a) returns a fast state and its
+forcing, hooks.finalize(state, forcing, fast_state, d_tau) takes it back.
 """
 
 from __future__ import annotations
@@ -105,8 +106,12 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
                                          [z] + slow_rhs)
         else:
             mri_forcing(coupling, i, slow_rhs, forcing)
+            t_a = t + coupling.c[i] * h
+            t_b = t + coupling.c[i + 1] * h
+            v, r = ((z, forcing) if hooks is None
+                    else hooks.prepare(z, forcing, t_a))
 
-            def tendency(tt, vv, _r=forcing):
+            def tendency(tt, vv, _r=r):
                 out = fast_f(tt, vv)
                 for dst, src in zip(out.arrays, _r.arrays):
                     dst += src
@@ -114,18 +119,14 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
 
             if newton is not None:
                 newton.reset()
-            if hooks is not None:
-                hooks.prepare(z, forcing)
-            t_a = t + coupling.c[i] * h
-            t_b = t + coupling.c[i + 1] * h
             try:
                 if fast.mode == "fixed":
-                    fixed_evolve(tendency, z, t_a, t_b, fast.h,
+                    fixed_evolve(tendency, v, t_a, t_b, fast.h,
                                  fast.table, newton=newton, rtol=fast.rtol,
                                  atol=fast.atol, stats=fast_stats)
                 else:
                     cap = min(t_b - t_a, fast.h)
-                    adaptive_evolve(tendency, z, t_a, t_b, fast.table,
+                    adaptive_evolve(tendency, v, t_a, t_b, fast.table,
                                     rtol=fast.rtol, atol=fast.atol,
                                     h0=FAST_START_FRACTION * cap, h_max=cap,
                                     newton=newton, stats=fast_stats)
@@ -133,7 +134,7 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
                 raise SolverError(
                     f"fast solve failed at slow stage {i + 1}: {exc}") from exc
             if hooks is not None:
-                hooks.finalize(z, forcing, t_b - t_a)
+                hooks.finalize(z, forcing, v, t_b - t_a)
         if i + 1 < coupling.n_intervals:
             slow_rhs.append(slow_f(t + coupling.c[i + 1] * h, z))
     return z

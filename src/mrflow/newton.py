@@ -1,9 +1,10 @@
 """Modified Newton iteration for the implicit fast stages.
 
 The reaction network couples unknowns only within a cell, so the
-Jacobian is block diagonal: one (5 + n_c) square block per cell, every
-block sharing the same sparsity pattern. The pattern is analysed once
-and splits the rows of I - hg*J in two:
+Jacobian is block diagonal: one nb x nb block per cell, every block
+sharing the same sparsity pattern. Its rows are the vector's fields; a
+subvector with one more axis than the first holds one per entry of its
+last axis. The pattern, analysed once, splits the rows of I - hg*J in two:
 
   identity rows  no pattern entry; the update is x = b, done in place on
                  the vector's arrays;
@@ -17,10 +18,10 @@ and splits the rows of I - hg*J in two:
                  that pivot there; the swaps compose into one row
                  permutation per cell, so a solve gathers rhs once.
 
-A pattern column outside the coupled rows (the density for the
-surrogate) is an identity row, so its value is known before the block
-solve and its term moves into the right-hand side: a block-triangular
-order with the 1 x 1 identity blocks first.
+A pattern column outside the coupled rows is an identity row, so its
+value is known before the block solve and its term moves into the
+right-hand side: a block-triangular order with the 1 x 1 identity blocks
+first.
 
 The convergence norm of each update is vectors.wrms_norm, which follows
 the vector's mode flag: one global round per iteration when batched,
@@ -38,7 +39,6 @@ from functools import reduce
 import numpy as np
 
 from .chemistry import SPECIES
-from .euler import state_fields
 from .profiling import Profile, Region
 from .vectors import wrms_norm
 
@@ -127,12 +127,15 @@ class NewtonEngine:
     changes or reset()/a convergence failure invalidates it. Only its
     coupled rows are stored: see the module docstring. The convergence
     norm reduces on the vectors' own communicator. The iteration
-    converges at rate * norm <= DEFAULT_CONV_COEF.
+    converges at rate * norm <= DEFAULT_CONV_COEF. names[row] names a
+    row's field in errors (default: a fluid + chemistry state).
     """
 
-    def __init__(self, jacobian, pattern, nb: int, profile=None):
+    def __init__(self, jacobian, pattern, nb: int, profile=None,
+                 names=FLUID_FIELDS + SPECIES):
         self.jacobian = jacobian
         self.pattern = tuple(pattern)
+        self.names = names
         self.profile = profile if profile is not None else Profile()
         self.stats = NewtonStats()
         for r, c in self.pattern:
@@ -207,7 +210,9 @@ class NewtonEngine:
         known-column terms move to the right-hand side of the block."""
         for x in v.arrays:
             np.negative(x, out=x)
-        fields = state_fields(v)
+        nd = v.arrays[0].ndim     # the vector's fields: see the module doc
+        fields = [f for a in v.arrays
+                  for f in (np.moveaxis(a, -1, 0) if a.ndim > nd else (a,))]
         block = [fields[r] for r in self._rows]
         rhs = np.stack([x.reshape(-1) for x in block])
         for q, (j, c) in enumerate(self._known):
@@ -236,7 +241,7 @@ class NewtonEngine:
                 row = self._rows[err.column]
                 raise LinearSolveError(
                     f"singular Newton block in local cell {err.cell}: zero"
-                    f" pivot for field {(FLUID_FIELDS + SPECIES)[row]}",
+                    f" pivot for field {self.names[row]}",
                     cell=err.cell, column=row) from err
         self._lu, self._perm, self._known_coef = lu, perm, known
         self._hg_cached = hg

@@ -36,7 +36,7 @@ from mrflow.transport import run_spmd
 from mrflow.vectors import (ManyVector, ReductionLedger, error_weights,
                             read_snapshot, wrms_norm)
 
-from cell_ode import single_cell_ode
+from cell_ode import network_on_full_state, single_cell_ode
 
 SEED = 8675309
 
@@ -250,20 +250,12 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     h_slow = 0.1
     h_max = h_slow / 1000.0
 
-    def f_net(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = net.rhs(v.arrays[0], v.arrays[5])
-        return out
-
+    f_net, jac, pattern = network_on_full_state(net)
     y = _cell_state([0.0] * N_SPECIES, N_SPECIES)
     y.arrays[0][...] = 1.0
     y.arrays[5][0, 0, 0, IH] = 1.0
     y.arrays[5][0, 0, 0, IEG] = 1.0
-    eng = NewtonEngine(lambda t, v: net.jacobian_values(v.arrays[0],
-                                                        v.arrays[5]),
-                       net.PATTERN, nb=5 + N_SPECIES)
+    eng = NewtonEngine(jac, pattern, nb=5 + N_SPECIES)
     log = []
     adaptive_evolve(f_net, y, 0.0, h_slow, table, rtol=rtol, atol=atol,
                     h0=1e-6, h_max=h_max, newton=eng, step_log=log)

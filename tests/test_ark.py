@@ -14,7 +14,7 @@ from mrflow.newton import NewtonEngine
 from mrflow.testsuite import observed_order, reference_ivp
 from mrflow.vectors import ManyVector
 
-from cell_ode import single_cell_ode
+from cell_ode import network_on_full_state, single_cell_ode
 
 
 # ---------------------------------------------------------------- tables
@@ -480,21 +480,12 @@ def test_adaptive_surrogate_network_meets_tolerances():
     net = SurrogateNetwork()
     rtol, atol = 1e-5, 1e-9
 
-    def f(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = net.rhs(v.arrays[0], v.arrays[5])
-        return out
-
-    def jac(t, v):
-        return net.jacobian_values(v.arrays[0], v.arrays[5])
-
+    f, jac, pattern = network_on_full_state(net)
     y = _cell_state([0.0] * N_SPECIES, N_SPECIES)
     y.arrays[0][...] = 1.0
     y.arrays[5][0, 0, 0, IH] = 1.0
     y.arrays[5][0, 0, 0, IEG] = 1.0
-    eng = NewtonEngine(jac, net.PATTERN, nb=5 + N_SPECIES)
+    eng = NewtonEngine(jac, pattern, nb=5 + N_SPECIES)
     log = []
     stats = IntegrationStats()
     adaptive_evolve(f, y, 0.0, 0.1, sdirk4(), rtol=rtol, atol=atol,

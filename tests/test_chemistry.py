@@ -6,17 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from mrflow.chemistry import (EnergyBookkeeping, IE, IEG, IH, IH2, IHE, IHEP,
-                              IHEPP, IHM, IHP, IH2P, K_BOLTZMANN, N_SPECIES,
-                              NUMBER_PREFACTOR, RHO_BACKGROUND, SPECIES,
+from mrflow.ark import classic_rk4, erk_step
+from mrflow.chemistry import (FAST_SLOTS, EnergyBookkeeping, IE, IEG, IH, IH2,
+                              IHE, IHEP, IHEPP, IHM, IHP, IH2P, K_BOLTZMANN,
+                              N_SPECIES, NUMBER_PREFACTOR, RHO_BACKGROUND,
+                              SPECIES,
                               SurrogateNetwork, T_BACKGROUND, UnitSystem,
                               W_H, W_H2, W_HE, clump_table, density_field,
-                              gas_energy_from_fluid, nondimensionalize,
-                              species_init, sync_gas_energy, temperature_field)
+                              nondimensionalize, species_init, sync_gas_energy,
+                              temperature_field)
 from mrflow.mesh import UniformGrid
 from mrflow.vectors import ManyVector
 
-from cell_ode import single_cell_ode
+from cell_ode import network_on_full_state, single_cell_ode
 
 UNITS = UnitSystem()
 GRID = UniformGrid((16, 16, 16), ((0.0, 1.0),) * 3)
@@ -196,7 +198,6 @@ def test_sync_gas_energy():
     sync_gas_energy(state)
     # (et - m^2/(2 rho)) / rho = (5 - 0.25) / 2
     assert np.all(state.arrays[5][..., IEG] == 2.375)
-    assert gas_energy_from_fluid(2.0, 1.0, 0.0, 0.0, 5.0) == 2.375
 
 
 def test_energy_bookkeeping_moves_heating_into_fluid():
@@ -204,11 +205,12 @@ def test_energy_bookkeeping_moves_heating_into_fluid():
     forcing = state.clone_empty().fill(0.0)
     forcing.arrays[5][..., IEG] = 0.5   # slow tendency of e_g
     hooks = EnergyBookkeeping()
-    hooks.prepare(state, forcing)
-    assert np.all(state.arrays[5][..., IEG] == 2.375)
+    fast, fast_forcing = hooks.prepare(state, forcing, 0.0)
+    assert np.all(fast.arrays[2] == 2.375)
+    assert np.all(fast_forcing.arrays[2] == 0.5)
     # fast solve: e_g picks up forcing (0.5 * 0.1) plus 0.02 of reaction heat
-    state.arrays[5][..., IEG] += 0.05 + 0.02
-    hooks.finalize(state, forcing, 0.1)
+    fast.arrays[2] += 0.05 + 0.02
+    hooks.finalize(state, forcing, fast, 0.1)
     np.testing.assert_allclose(state.arrays[4], 5.0 + 2.0 * 0.02, rtol=1e-14)
     np.testing.assert_allclose(state.arrays[5][..., IEG],
                                (5.04 - 0.25) / 2.0, rtol=1e-14)
@@ -219,9 +221,69 @@ def test_energy_bookkeeping_no_reactions_is_roundoff():
     forcing = state.clone_empty().fill(0.0)
     hooks = EnergyBookkeeping()
     et_before = state.arrays[4].copy()
-    hooks.prepare(state, forcing)
-    hooks.finalize(state, forcing, 0.37)
+    fast, _ = hooks.prepare(state, forcing, 0.0)
+    hooks.finalize(state, forcing, fast, 0.37)
     np.testing.assert_array_equal(state.arrays[4], et_before)
+
+
+def _random_state_and_forcing(seed):
+    rng = np.random.default_rng(seed)
+    state = _fluid_state()
+    forcing = state.clone_empty()
+    for a, r in zip(state.arrays, forcing.arrays):
+        a[...] = rng.uniform(1.0, 2.0, a.shape)
+        r[...] = rng.uniform(-1.0, 1.0, r.shape)
+    state.arrays[4] += 10.0     # positive internal energy
+    return state, forcing
+
+
+def test_bookkeeping_lifts_contiguous_fast_fields_and_their_forcing():
+    state, forcing = _random_state_and_forcing(3)
+    hooks = EnergyBookkeeping()
+    fast, fast_forcing = hooks.prepare(state, forcing, 0.5)
+    assert SurrogateNetwork.FIELDS == ("H", "H2", "e_g")
+    for v, src in ((fast, state), (fast_forcing, forcing)):
+        assert v.global_length == src.global_length
+        assert all(a.flags.c_contiguous and a.shape == (3, 3, 3)
+                   for a in v.arrays)
+        for a, j in zip(v.arrays, (IH, IH2, IEG)):
+            np.testing.assert_array_equal(a, src.arrays[5][..., j])
+    # the density moves on its forcing line over the interval
+    np.testing.assert_array_equal(hooks.density(0.5), state.arrays[0])
+    np.testing.assert_array_equal(hooks.density(0.75),
+                                  state.arrays[0] + 0.25 * forcing.arrays[0])
+
+
+def test_passive_fields_end_at_their_exact_update():
+    # the twelve fields outside the network move by d_tau * r, bitwise,
+    # and the fluid energy also takes the heating of the interval
+    state, forcing = _random_state_and_forcing(4)
+    net = SurrogateNetwork(k1=1e2, k2=1e4, q=1e-2, e_ref=1.3)
+    hooks = EnergyBookkeeping()
+    fast, fast_forcing = hooks.prepare(state, forcing, 0.0)
+    before = state.copy()
+    eg_entry = fast.arrays[2].copy()
+    d_tau = 1e-3
+
+    def tendency(t, v):
+        out = ManyVector(net.rhs(hooks.density(t), v.arrays))
+        for o, r in zip(out.arrays, fast_forcing.arrays):
+            o += r
+        return out
+
+    fast = erk_step(tendency, 0.0, d_tau, fast, classic_rk4())
+    hooks.finalize(state, forcing, fast, d_tau)
+    want = [v + d_tau * r for v, r in zip(before.arrays, forcing.arrays)]
+    for i in range(4):
+        np.testing.assert_array_equal(state.arrays[i], want[i])
+    others = [j for j in range(N_SPECIES) if j not in FAST_SLOTS]
+    np.testing.assert_array_equal(state.arrays[5][..., others],
+                                  want[5][..., others])
+    heating = fast.arrays[2] - (eg_entry + d_tau * forcing.arrays[5][..., IEG])
+    np.testing.assert_array_equal(state.arrays[4],
+                                  want[4] + want[0] * heating)
+    for a, j in zip(fast.arrays[:2], (IH, IH2)):
+        np.testing.assert_array_equal(state.arrays[5][..., j], a)
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +292,33 @@ def test_energy_bookkeeping_no_reactions_is_roundoff():
 NET = SurrogateNetwork(k1=1e2, k2=1e4, q=1e-2, e_ref=1.3)
 
 
-def _chem_state(h, h2, eg):
-    chem = np.zeros(N_SPECIES)
-    chem[IH], chem[IH2], chem[IEG] = h, h2, eg
-    return chem
-
-
 def test_network_equilibrium():
     # k1 H^2 = k2 H2 theta with theta = eg/e_ref
     h, eg = 1.0, 1.3
     h2 = NET.k1 * h * h / (NET.k2 * eg / NET.e_ref)
-    out = NET.rhs(1.0, _chem_state(h, h2, eg))
-    np.testing.assert_allclose(out, np.zeros(N_SPECIES), atol=1e-18)
+    out = NET.rhs(1.0, (h, h2, eg))
+    np.testing.assert_allclose(out, np.zeros(3), atol=1e-18)
 
 
 def test_network_sign_structure():
-    out = NET.rhs(1.0, _chem_state(0.0, 1.0, 1.0))
-    assert out[IH] > 0 and out[IH2] < 0
-    out = NET.rhs(1.0, _chem_state(1.0, 0.0, 1.0))
-    assert out[IH] < 0 and out[IH2] > 0
+    out = NET.rhs(1.0, (0.0, 1.0, 1.0))
+    assert out[0] > 0 and out[1] < 0
+    out = NET.rhs(1.0, (1.0, 0.0, 1.0))
+    assert out[0] < 0 and out[1] > 0
 
 
 def test_network_mass_conservation_is_bitwise():
     rng = np.random.default_rng(6)
-    chem = np.zeros((50, N_SPECIES))
-    chem[:, IH] = rng.uniform(0, 2, 50)
-    chem[:, IH2] = rng.uniform(0, 2, 50)
-    chem[:, IEG] = rng.uniform(0.1, 3, 50)
-    out = NET.rhs(rng.uniform(0.5, 2, 50), chem)
-    np.testing.assert_array_equal(out[:, IH] + 2.0 * out[:, IH2],
-                                  np.zeros(50))
-    assert np.all(out[:, [IHP, IHM, IH2P, IHE, IHEP, IHEPP, IE]] == 0.0)
+    y = (rng.uniform(0, 2, 50), rng.uniform(0, 2, 50), rng.uniform(0.1, 3, 50))
+    out = NET.rhs(rng.uniform(0.5, 2, 50), y)
+    np.testing.assert_array_equal(out[0] + 2.0 * out[1], np.zeros(50))
 
 
 def test_network_pattern_shape():
-    rows = {r for r, _ in SurrogateNetwork.PATTERN}
-    assert rows == {5 + IH, 5 + IH2, 5 + IEG}
-    assert (5 + IEG, 0) in SurrogateNetwork.PATTERN  # density feedback
-    assert len(SurrogateNetwork.PATTERN) == 10
+    # one dense 3 x 3 block over (H, H2, e_g), each entry once
+    assert sorted(SurrogateNetwork.PATTERN) == [(r, c) for r in range(3)
+                                                for c in range(3)]
+    assert NET.jacobian_values(1.0, (1.0, 0.5, 0.9)).shape == (9,)
 
 
 def test_jacobian_matches_finite_differences():
@@ -290,33 +341,34 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_density_column():
-    # d(de_g/dt)/d(rho) = -q net / rho^2, checked by differencing in rho
-    y = np.array([1.1, 0.4, 0.9])
-    chem = _chem_state(*y)
-    rho = 1.7
-    vals = NET.jacobian_values(rho, chem)
+    # d(de_g/dt)/d(rho) = -q net / rho^2 on the fluid + chemistry state,
+    # where the density is an unknown, checked by differencing in rho
+    f, jacobian, pattern = network_on_full_state(NET)
+    state = _fluid_state()
+    state.arrays[0][...] = 1.7
+    state.arrays[5][..., [IH, IH2, IEG]] = (1.1, 0.4, 0.9)
+    vals = jacobian(0.0, state)[0, 0, 0]
     h = 1e-7
-    d_fd = (NET.rhs(rho + h, chem)[IEG] - NET.rhs(rho - h, chem)[IEG]) / (2 * h)
-    idx = SurrogateNetwork.PATTERN.index((5 + IEG, 0))
-    assert vals[idx] == pytest.approx(d_fd, rel=1e-7)
+    d_fd = []
+    for sign in (1.0, -1.0):
+        shifted = state.copy()
+        shifted.arrays[0][...] += sign * h
+        d_fd.append(f(0.0, shifted).arrays[5][0, 0, 0, IEG])
+    idx = pattern.index((5 + IEG, 0))
+    assert vals[idx] == pytest.approx((d_fd[0] - d_fd[1]) / (2 * h), rel=1e-7)
 
 
 def test_network_vectorized_matches_single_cell():
     rng = np.random.default_rng(23)
-    chem = np.zeros((4, N_SPECIES))
-    chem[:, IH] = rng.uniform(0.1, 2, 4)
-    chem[:, IH2] = rng.uniform(0.1, 2, 4)
-    chem[:, IEG] = rng.uniform(0.1, 2, 4)
+    y = rng.uniform(0.1, 2, (3, 4))
     rho = rng.uniform(0.5, 2, 4)
-    out = NET.rhs(rho, chem)
+    out = NET.rhs(rho, y)
     f, _ = single_cell_ode(NET, rho[2])
-    np.testing.assert_array_equal(
-        f(0.0, chem[2, [IH, IH2, IEG]]),
-        out[2, [IH, IH2, IEG]])
+    np.testing.assert_array_equal(f(0.0, y[:, 2]), [d[2] for d in out])
 
 
 def test_reactions_off_is_identically_zero():
     dead = SurrogateNetwork(0.0, 0.0, 0.0, 1.0)
-    chem = _chem_state(1.0, 2.0, 3.0)
-    assert np.all(dead.rhs(1.0, chem) == 0.0)
-    assert np.all(dead.jacobian_values(1.0, chem) == 0.0)
+    y = (1.0, 2.0, 3.0)
+    assert np.all(np.array(dead.rhs(1.0, y)) == 0.0)
+    assert np.all(dead.jacobian_values(1.0, y) == 0.0)

@@ -13,8 +13,10 @@ import pytest
 
 import mrflow
 from mrflow import harness
-from mrflow.ark import SolverError
-from mrflow.chemistry import IEG, N_SPECIES, UnitSystem
+from mrflow.ark import ButcherTable, SolverError, sdirk4
+from mrflow.chemistry import (IEG, N_SPECIES, SurrogateNetwork, UnitSystem,
+                              sync_gas_energy)
+from mrflow.euler import EulerPipeline, GasConstants
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             RunConfig, _global_mean_eg, build_state,
                             emit_report, gather_state,
@@ -22,10 +24,14 @@ from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, ConfigError,
                             scaling_plan, simulation_worker,
                             write_profile_csv)
 from mrflow.mesh import Decomposition, UniformGrid
+from mrflow.mri import FastSolve, MRICoupling, mri_step
+from mrflow.newton import NewtonEngine
 from mrflow.profiling import Profile, Region, aggregate
 from mrflow.testsuite import ConservationMonitor
 from mrflow.transport import run_spmd
 from mrflow.vectors import read_snapshot
+
+from cell_ode import network_on_full_state
 
 TINY_INI = """\
 [grid]
@@ -570,3 +576,68 @@ def test_simulation_repeats_are_identical():
         assert _strip_timing(a) == _strip_timing(b)
     assert first[0]["fast_stats"]["steps"] > 0
     assert first[0]["newton_stats"]["iterations"] > 0
+
+
+@pytest.mark.parametrize("given, size", [(1, 2), (2, 1)])
+def test_worker_rejects_a_task_count_other_than_the_group_size(given, size):
+    with pytest.raises(ConfigError, match=rf"n_tasks is {given} but the"
+                                          rf" group has {size} tasks"):
+        run_spmd(size, simulation_worker, _tiny_cfg(), given, True)
+
+
+# ------------------------------------------- the fast problem, by reference
+
+class _WholeStateBookkeeping:
+    """The reference hooks: the fast solver gets all fifteen fields, and
+    only the gas energy is reconciled around it."""
+
+    def prepare(self, state, forcing, t):
+        sync_gas_energy(state)
+        self.eg_entry = state.arrays[5][..., IEG].copy()
+        return state, forcing
+
+    def finalize(self, state, forcing, fast, d_tau):
+        r_eg = forcing.arrays[5][..., IEG]
+        heating = state.arrays[5][..., IEG] - (self.eg_entry + d_tau * r_eg)
+        state.arrays[4] += state.arrays[0] * heating
+        sync_gas_energy(state)
+
+
+def _whole_state_problem(network):
+    f, jacobian, pattern = network_on_full_state(network)
+    newton = NewtonEngine(jacobian, pattern, nb=5 + N_SPECIES)
+    return f, newton, _WholeStateBookkeeping()
+
+
+def _one_fast_interval(comm, cfg, mode, reduced):
+    """One slow step of a one-stage outer table: a single fast interval
+    over the whole step, from the run's initial state."""
+    decomp = Decomposition(UniformGrid(cfg.shape, cfg.bounds), 1, comm.rank,
+                           (cfg.bc,) * 6)
+    state = build_state(cfg, comm, decomp, 1, True)
+    pipeline = EulerPipeline(comm, decomp, GasConstants.from_gamma(cfg.gamma),
+                             N_SPECIES)
+    network = SurrogateNetwork(cfg.k1, cfg.k2, cfg.q,
+                               _global_mean_eg(comm, decomp, state))
+    fast_f, newton, hooks = (harness.reaction_problem(network, Profile())
+                             if reduced else _whole_state_problem(network))
+    euler1 = ButcherTable("euler-1", a=((0.0,),), b=(1.0,), c=(0.0,), order=1)
+    fast = FastSolve(sdirk4(), mode, h=cfg.h_slow / cfg.fast_ratio,
+                     rtol=cfg.rtol, atol=cfg.atol)
+    out = mri_step(MRICoupling(euler1), pipeline, fast_f, 0.0, cfg.h_slow,
+                   state, fast, newton=newton, hooks=hooks)
+    fields = out.arrays[:5] + list(np.moveaxis(out.arrays[5], -1, 0))
+    return fields, newton.stats.iterations
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+def test_fast_problem_matches_the_whole_state_solve(mode):
+    cfg = _tiny_cfg(seed=11)
+    want, want_iters = run_spmd(1, _one_fast_interval, cfg, mode, False)[0]
+    got, iters = run_spmd(1, _one_fast_interval, cfg, mode, True)[0]
+    assert iters == want_iters > 0
+    worst = 0.0
+    for a, b in zip(want, got):
+        scale = np.abs(a) + 1e-9 * float(np.max(np.abs(a))) + 1e-300
+        worst = max(worst, float(np.sqrt(np.mean(((a - b) / scale) ** 2))))
+    assert worst <= 1e-12

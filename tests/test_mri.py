@@ -180,13 +180,18 @@ def test_pure_fast_solve_when_slow_rhs_vanishes():
 # ------------------------------------------------------- hooks and newton
 
 class _RecordingHooks:
+    """Hands the fast solver the whole state, as mri_step does without
+    hooks, and records the interval's start time and width."""
+
     def __init__(self):
         self.calls = []
 
-    def prepare(self, state, forcing):
-        self.calls.append(("prepare", None))
+    def prepare(self, state, forcing, t):
+        self.calls.append(("prepare", t))
+        return state, forcing
 
-    def finalize(self, state, forcing, d_tau):
+    def finalize(self, state, forcing, fast, d_tau):
+        assert fast is state
         self.calls.append(("finalize", d_tau))
 
 
@@ -194,13 +199,51 @@ def test_hooks_bracket_each_fast_interval():
     cpl = MRICoupling(knoth_wolke_3())
     hooks = _RecordingHooks()
     fast = FastSolve(table=classic_rk4(), mode="fixed", h=1.0)
-    h = 0.3
-    mri_step(cpl, _rotation_rhs, _zero_rhs, 0.0, h, _pair_state(1.0, 0.0),
-             fast, hooks=hooks)
+    t, h = 0.5, 0.3
+    y = _pair_state(1.0, 0.0)
+    got = mri_step(cpl, _rotation_rhs, _zero_rhs, t, h, y, fast, hooks=hooks)
     kinds = [kind for kind, _ in hooks.calls]
     assert kinds == ["prepare", "finalize"] * 3
+    starts = [tau for kind, tau in hooks.calls if kind == "prepare"]
+    assert starts == [t + c * h for c in cpl.c[:3]]
     taus = [tau for kind, tau in hooks.calls if kind == "finalize"]
     np.testing.assert_allclose(taus, [h / 3, h * 5 / 12, h / 4], rtol=1e-15)
+    # whole-state hooks leave the step as it is without them
+    plain = mri_step(cpl, _rotation_rhs, _zero_rhs, t, h, y, fast)
+    for g, w in zip(got.arrays, plain.arrays):
+        assert g[0] == w[0]
+
+
+class _HalfHooks:
+    """Lifts the first field out and moves the second by d_tau * r."""
+
+    def prepare(self, state, forcing, t):
+        return (ManyVector([state.arrays[0].copy()]),
+                ManyVector([forcing.arrays[0]]))
+
+    def finalize(self, state, forcing, fast, d_tau):
+        state.arrays[0][...] = fast.arrays[0]
+        state.arrays[1] += d_tau * forcing.arrays[1]
+
+
+def test_hooks_choose_the_fast_state():
+    # decay in the first field only: the hooks' one-field fast problem
+    # matches the whole-state one to roundoff
+    def decay(t, v):
+        out = v.clone_empty()
+        out.arrays[0][...] = -1.3 * v.arrays[0]
+        if len(out.arrays) > 1:
+            out.arrays[1][...] = 0.0
+        return out
+
+    cpl = MRICoupling(knoth_wolke_3())
+    fast = FastSolve(table=classic_rk4(), mode="fixed", h=0.01)
+    y = _pair_state(0.8, -0.3)
+    got = mri_step(cpl, _rotation_rhs, decay, 0.0, 0.1, y, fast,
+                   hooks=_HalfHooks())
+    want = mri_step(cpl, _rotation_rhs, decay, 0.0, 0.1, y, fast)
+    for g, w in zip(got.arrays, want.arrays):
+        assert _ulp_distance(g[0], w[0]) <= 8.0
 
 
 class _CountingEngine(NewtonEngine):

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from mrflow import newton
-from mrflow.chemistry import IEG, IH, IH2, N_SPECIES, SurrogateNetwork
+from mrflow.chemistry import N_SPECIES, SurrogateNetwork
+from mrflow.harness import reaction_problem
 from mrflow.newton import (ConvergenceFailure, LinearSolveError,
                            NewtonEngine, block_lu_factor, block_lu_solve)
+from mrflow.profiling import Profile
 from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector, ReductionLedger, error_weights
+
+from cell_ode import network_on_full_state
 
 
 def test_block_lu_matches_dense_solve():
@@ -249,7 +253,7 @@ def _random_pattern(nb, seed):
 
 
 @pytest.mark.parametrize("pattern, nb", [
-    (SurrogateNetwork.PATTERN, 5 + N_SPECIES),
+    (network_on_full_state(SurrogateNetwork())[2], 5 + N_SPECIES),
     (LIN_PATTERN, 7),
     (_random_pattern(11, 8), 11),
 ], ids=["surrogate", "linear", "random"])
@@ -293,27 +297,41 @@ def test_singular_block_names_cell_and_field():
 
 
 def _network_setup(hg):
+    """The network on its own three fields, as the harness solves it."""
     net = SurrogateNetwork(k1=1e2, k2=1e4, q=1e-2, e_ref=1.0)
     shape = (2, 2, 1)
-    z = _state(shape, N_SPECIES)
     rng = np.random.default_rng(5)
-    z.arrays[0][...] = rng.uniform(0.5, 2.0, shape)
-    z.arrays[5][..., IH] = rng.uniform(0.5, 1.5, shape)
-    z.arrays[5][..., IH2] = rng.uniform(0.1, 0.5, shape)
-    z.arrays[5][..., IEG] = rng.uniform(0.5, 1.5, shape)
+    rho = rng.uniform(0.5, 2.0, shape)
+    z = ManyVector([rng.uniform(0.5, 1.5, shape), rng.uniform(0.1, 0.5, shape),
+                    rng.uniform(0.5, 1.5, shape)])
 
     def f(t, v):
-        out = v.clone_empty()
-        for arr in out.arrays[:5]:
-            arr.fill(0.0)
-        out.arrays[5][...] = net.rhs(v.arrays[0], v.arrays[5])
-        return out
+        return ManyVector(net.rhs(rho, v.arrays))
 
-    jac = lambda t, v: net.jacobian_values(v.arrays[0], v.arrays[5])
-    eng = NewtonEngine(jac, SurrogateNetwork.PATTERN, nb=5 + N_SPECIES)
+    eng = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays),
+                       net.PATTERN, nb=3, names=net.FIELDS)
     a = z.copy()
     weights = error_weights(z, 1e-8, 1e-12)
     return eng, f, z, a, weights, hg
+
+
+@pytest.mark.parametrize("diagonal, field, column", [
+    ((1.0, 1.0, 1.0), "H", 0), ((0.0, 0.0, 1.0), "e_g", 2)],
+    ids=["zeroed-block", "zeroed-e_g-row"])
+def test_singular_reduced_block_names_a_network_field(diagonal, field, column):
+    # the run's engine on the three network fields: at hg = 1, J = diag(...)
+    # in cell 1 zeroes the block there, or only its e_g row
+    _, eng, _ = reaction_problem(SurrogateNetwork(), Profile())
+    vals = np.zeros((4, 9))
+    vals[1, [0, 4, 8]] = diagonal
+    eng.jacobian = lambda t, v: vals
+    z = ManyVector([np.ones((2, 2, 1)) for _ in range(3)])
+    with pytest.raises(LinearSolveError,
+                       match=rf"local cell 1: zero pivot for field {field}$"
+                       ) as info:
+        eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 1.0,
+                  error_weights(z, 1e-5, 1e-9))
+    assert (info.value.cell, info.value.column) == (1, column)
 
 
 def test_modified_newton_reuses_jacobian_and_factors():
@@ -345,8 +363,8 @@ def test_newton_nonlinear_converges_and_satisfies_stage_equation():
     iters = eng.solve(f, 0.0, z, a, hg, weights)
     assert 1 <= iters <= 10
     # converged to ~0.01 WRMS units at rtol=1e-8: residual O(1e-9) absolute
-    resid = z.arrays[5] - hg * f(0.0, z).arrays[5] - a.arrays[5]
-    assert np.abs(resid).max() <= 5e-9
+    for zz, ff, aa in zip(z.arrays, f(0.0, z).arrays, a.arrays):
+        assert np.abs(zz - hg * ff - aa).max() <= 5e-9
 
 
 def test_divergence_raises_with_freshness_flag():
