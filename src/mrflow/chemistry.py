@@ -239,8 +239,6 @@ class SurrogateNetwork:
     e_ref: float = 1.0
 
     FIELDS = tuple(SPECIES[j] for j in FAST_SLOTS)
-    # (row, col) in FIELDS order of each Jacobian entry: a dense block
-    PATTERN = tuple((r, c) for r in range(3) for c in range(3))
 
     def rates(self, y):
         """Net rate k1 H^2 - k2 H2 theta of 2H -> H2 in each cell."""
@@ -253,16 +251,18 @@ class SurrogateNetwork:
         return [-2.0 * net, net, self.q * net / rho]
 
     def jacobian_values(self, rho, y) -> np.ndarray:
-        """Entries matching PATTERN, stacked on the last axis."""
+        """The (3, 3) + shape block over FIELDS, [r][c] = d f_r / d y_c."""
         h, h2, eg = y
         theta = eg / self.e_ref
         k1, k2, q = self.k1, self.k2, self.q
         d_f_h = 2.0 * k1 * h            # d(k1 H^2)/dH
         d_b_h2 = k2 * theta             # d(k2 H2 theta)/dH2
         d_b_eg = k2 * h2 / self.e_ref   # d(k2 H2 theta)/de_g
-        cols = (
+        entries = (
             -2.0 * d_f_h, 2.0 * d_b_h2, 2.0 * d_b_eg,
             d_f_h, -d_b_h2, -d_b_eg,
             q * d_f_h / rho, -q * d_b_h2 / rho, -q * d_b_eg / rho,
         )
-        return np.stack([np.broadcast_to(c, np.shape(h)) for c in cols], axis=-1)
+        shape = np.shape(h)
+        return np.stack([np.broadcast_to(e, shape) for e in entries]
+                        ).reshape((3, 3) + shape)

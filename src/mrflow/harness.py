@@ -260,8 +260,7 @@ def reaction_problem(network: SurrogateNetwork, profile: Profile):
 
     newton = NewtonEngine(
         lambda t, v: network.jacobian_values(hooks.density(t), v.arrays),
-        network.PATTERN, nb=len(network.FIELDS), profile=profile,
-        names=network.FIELDS)
+        network.FIELDS, profile=profile)
     return fast_f, newton, hooks
 
 

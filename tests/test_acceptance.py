@@ -20,14 +20,14 @@ from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
                         adaptive_evolve, bogacki_shampine_32, classic_rk4,
                         erk_step, fixed_evolve, knoth_wolke_3,
                         next_step_size, sdirk4)
-from mrflow.chemistry import IEG, IH, IH2, N_SPECIES, SurrogateNetwork, UnitSystem
+from mrflow.chemistry import IH, IH2, N_SPECIES, SurrogateNetwork, UnitSystem
 from mrflow.euler import EulerPipeline, GasConstants, cfl_time_step
 from mrflow.harness import (CSV_COLUMNS, PLOT_FILTER_FRACTION, RunConfig,
                             build_state, emit_report, scaling_plan,
                             simulation_worker)
 from mrflow.mesh import PERIODIC, Decomposition, UniformGrid, dims_create
 from mrflow.mri import FastSolve, MRICoupling, mri_step
-from mrflow.newton import NewtonEngine, block_lu_factor, block_lu_solve
+from mrflow.newton import block_lu_factor, block_lu_solve
 from mrflow.profiling import Profile, Region, aggregate, parallel_efficiency, sundials_time
 from mrflow.testsuite import (ConservationMonitor, compare_snapshots,
                               l1_error, linear_exact, observed_order,
@@ -36,7 +36,8 @@ from mrflow.transport import run_spmd
 from mrflow.vectors import (ManyVector, ReductionLedger, error_weights,
                             read_snapshot, wrms_norm)
 
-from cell_ode import network_on_full_state, single_cell_ode
+from cell_ode import (network_on_fields, one_cell, scalar_newton,
+                      single_cell_ode)
 
 SEED = 8675309
 
@@ -213,34 +214,23 @@ def test_criterion_04_slow_limit_matches_standalone_erk():
 # ------------------------------------------------------------ criterion 5
 
 
-def _cell_state(chem_values, n_chem):
-    arrays = [np.zeros((1, 1, 1)) for _ in range(5)]
-    arrays.append(np.zeros((1, 1, 1, n_chem)))
-    arrays[5][0, 0, 0, :len(chem_values)] = chem_values
-    return ManyVector(arrays)
-
-
 def test_criterion_05_dirk_order_tolerances_and_controller():
     # nominal order of the shipped stiff table on a smooth problem
     table = sdirk4()
 
     def f_smooth(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = v.arrays[5] * np.cos(t)
-        return out
+        return ManyVector([v.arrays[0] * np.cos(t)], v.global_length)
 
     exact = math.exp(math.sin(2.0))
     hs, errs = [], []
     for k in range(4):
         h = 0.2 / 2 ** k
-        eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), np.cos(t)),
-                           ((5, 5),), nb=6)
-        y, _ = fixed_evolve(f_smooth, _cell_state([1.0], 1), 0.0, 2.0, h,
-                            table, newton=eng, rtol=1e-10, atol=1e-13)
+        # one field of a 6-field cell: the norms count the other five as 0
+        y, _ = fixed_evolve(f_smooth, one_cell([1.0], global_length=6), 0.0,
+                            2.0, h, table, newton=scalar_newton(np.cos),
+                            rtol=1e-10, atol=1e-13)
         hs.append(h)
-        errs.append(abs(y.arrays[5][0, 0, 0, 0] - exact))
+        errs.append(abs(y.arrays[0][0, 0, 0] - exact))
     order = observed_order(hs, errs)
     order_ok = abs(order - table.order) <= 0.3
 
@@ -250,12 +240,9 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     h_slow = 0.1
     h_max = h_slow / 1000.0
 
-    f_net, jac, pattern = network_on_full_state(net)
-    y = _cell_state([0.0] * N_SPECIES, N_SPECIES)
-    y.arrays[0][...] = 1.0
-    y.arrays[5][0, 0, 0, IH] = 1.0
-    y.arrays[5][0, 0, 0, IEG] = 1.0
-    eng = NewtonEngine(jac, pattern, nb=5 + N_SPECIES)
+    # H, H2 and e_g at rho = 1; norms count all 15 fields, as in a run
+    f_net, eng = network_on_fields(net, rho=1.0)
+    y = one_cell((1.0, 0.0, 1.0), global_length=5 + N_SPECIES)
     log = []
     adaptive_evolve(f_net, y, 0.0, h_slow, table, rtol=rtol, atol=atol,
                     h0=1e-6, h_max=h_max, newton=eng, step_log=log)
@@ -263,7 +250,7 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     f_ref, j_ref = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(f_ref, [1.0, 0.0, 1.0], (0.0, h_slow), jac=j_ref,
                         stiff=True)
-    got = y.arrays[5][0, 0, 0, [IH, IH2, IEG]]
+    got = np.array([a[0, 0, 0] for a in y.arrays])
     w = 1.0 / (rtol * np.abs(ref) + atol)
     wrms = float(np.sqrt(np.mean(((got - ref) * w) ** 2)))
     wrms_ok = wrms <= 5.0
@@ -295,19 +282,11 @@ def _newton_comm_worker(comm):
     lam = -3.0
 
     def f(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = lam * v.arrays[5]
-        return out
+        return ManyVector([lam * v.arrays[0]], v.global_length, v.comm)
 
-    arrays = [np.zeros((1, 1, 1)) for _ in range(5)]
-    arrays.append(np.full((1, 1, 1, 1), 1.0))
-    length = sum(a.size for a in arrays) * comm.size
-    y = ManyVector(arrays, global_length=length, comm=comm)
+    y = ManyVector([np.ones((1, 1, 1))], global_length=comm.size, comm=comm)
     weights = error_weights(y, 1e-5, 1e-9)
-    eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6)
+    eng = scalar_newton(lambda t: lam)
 
     z = y.copy()
     before = comm.counters.snapshot()

@@ -9,12 +9,12 @@ from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
                         IntegrationStats, SolverError, adaptive_evolve,
                         bogacki_shampine_32, classic_rk4, dirk_step, erk_step,
                         fixed_evolve, knoth_wolke_3, next_step_size, sdirk4)
-from mrflow.chemistry import IEG, IH, IH2, N_SPECIES, SurrogateNetwork
-from mrflow.newton import NewtonEngine
+from mrflow.chemistry import N_SPECIES, SurrogateNetwork
 from mrflow.testsuite import observed_order, reference_ivp
 from mrflow.vectors import ManyVector
 
-from cell_ode import network_on_full_state, single_cell_ode
+from cell_ode import (network_on_fields, one_cell, scalar_newton,
+                      single_cell_ode)
 
 
 # ---------------------------------------------------------------- tables
@@ -173,43 +173,24 @@ def test_erk_observed_order_matches_nominal(table):
 
 # ----------------------------------------------------------- dirk steps
 
-def _cell_state(chem_values, n_chem):
-    """Single-cell fluid+chemistry state shaped for the Newton engine."""
-    arrays = [np.zeros((1, 1, 1)) for _ in range(5)]
-    arrays.append(np.zeros((1, 1, 1, n_chem)))
-    arrays[5][0, 0, 0, :len(chem_values)] = chem_values
-    return ManyVector(arrays)
-
-
-def _chem_rhs(expr):
-    def f(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = expr(t, v.arrays[5])
-        return out
-    return f
-
-
 def test_dirk_step_zero_rhs_is_identity():
     table = sdirk4()
-    eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6)
-    y = _cell_state([3.0], 1)
+    eng = scalar_newton(lambda t: 0.0)
+    y = _scalar_state(3.0)
     w = y.clone_empty()
     for a in w.arrays:
         a.fill(1.0)
     err = y.clone_empty()
-    out = dirk_step(_chem_rhs(lambda t, c: 0.0 * c), eng, 0.0, 0.5, y,
+    out = dirk_step(_scalar_rhs(lambda t, c: 0.0 * c), eng, 0.0, 0.5, y,
                     table, w, err_out=err)
-    assert out.arrays[5][0, 0, 0, 0] == 3.0
-    assert err.arrays[5][0, 0, 0, 0] == 0.0
+    assert out.arrays[0][0] == 3.0
+    assert err.arrays[0][0] == 0.0
 
 
 def test_implicit_stage_without_newton_names_table_and_stage():
-    y = _cell_state([1.0], 1)
+    y = _scalar_state(1.0)
     with pytest.raises(SolverError, match="sdirk4 stage 1 is implicit"):
-        erk_step(_chem_rhs(lambda t, c: -c), 0.0, 0.1, y, sdirk4())
+        erk_step(_scalar_rhs(lambda t, c: -c), 0.0, 0.1, y, sdirk4())
 
 
 def test_dirk_embedded_error_hand_value():
@@ -218,46 +199,43 @@ def test_dirk_embedded_error_hand_value():
     # h*sum (b_i - b~_i) k_i
     lam, h = -2.0, 0.25
     table = sdirk4()
-    eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6)
-    y = _cell_state([1.0], 1)
+    eng = scalar_newton(lambda t: lam)
+    y = _scalar_state(1.0)
     w = y.clone_empty().fill(1.0)
     err = y.clone_empty()
-    dirk_step(_chem_rhs(lambda t, c: lam * c), eng, 0.0, h, y, table, w,
+    dirk_step(_scalar_rhs(lambda t, c: lam * c), eng, 0.0, h, y, table, w,
               err_out=err)
     a = np.array(table.a)
     k = np.linalg.solve(np.eye(table.stages) - h * lam * a,
                         np.full(table.stages, lam))
     d = np.array(table.b) - np.array(table.b_embedded)
-    assert err.arrays[5][0, 0, 0, 0] == pytest.approx(h * d @ k, rel=1e-10)
+    assert err.arrays[0][0] == pytest.approx(h * d @ k, rel=1e-10)
 
 
 def test_dirk_stiff_relaxation_is_stable():
     # v' = -1e6 (v - 1): explicit methods at h = 0.1 would explode
     lam = -1.0e6
     table = sdirk4()
-    eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6)
-    y = _cell_state([0.0], 1)
-    y, stats = fixed_evolve(_chem_rhs(lambda t, c: lam * (c - 1.0)), y,
+    eng = scalar_newton(lambda t: lam)
+    y = _scalar_state(0.0)
+    y, stats = fixed_evolve(_scalar_rhs(lambda t, c: lam * (c - 1.0)), y,
                             0.0, 0.5, 0.1, table, newton=eng)
     assert stats.steps == 5
-    assert abs(y.arrays[5][0, 0, 0, 0] - 1.0) <= 1e-10
+    assert abs(y.arrays[0][0] - 1.0) <= 1e-10
 
 
 def test_dirk_observed_order_matches_nominal():
     table = sdirk4()
-    f = _chem_rhs(lambda t, c: c * np.cos(t))
+    f = _scalar_rhs(lambda t, c: c * np.cos(t))
     exact = np.exp(np.sin(2.0))
     errs, hs = [], []
     for k in range(4):
         h = 0.2 / 2 ** k
-        eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), np.cos(t)),
-                           ((5, 5),), nb=6)
-        y, _ = fixed_evolve(f, _cell_state([1.0], 1), 0.0, 2.0, h, table,
+        eng = scalar_newton(np.cos)
+        y, _ = fixed_evolve(f, _scalar_state(1.0), 0.0, 2.0, h, table,
                             newton=eng, rtol=1e-10, atol=1e-13)
         hs.append(h)
-        errs.append(abs(y.arrays[5][0, 0, 0, 0] - exact))
+        errs.append(abs(y.arrays[0][0] - exact))
     assert abs(observed_order(hs, errs) - table.order) <= 0.3
 
 
@@ -401,11 +379,10 @@ def test_adaptive_step_sequence_is_deterministic():
 def test_adaptive_stiff_transient_saturates_at_h_max():
     lam = -1.0e4
     h_max = 0.01
-    eng = NewtonEngine(lambda t, v: np.full((1, 1, 1, 1), lam), ((5, 5),),
-                       nb=6)
+    eng = scalar_newton(lambda t: lam)
     log = []
-    y, stats = adaptive_evolve(_chem_rhs(lambda t, c: lam * (c - 1.0)),
-                               _cell_state([0.0], 1), 0.0, 1.0, sdirk4(),
+    y, stats = adaptive_evolve(_scalar_rhs(lambda t, c: lam * (c - 1.0)),
+                               _scalar_state(0.0), 0.0, 1.0, sdirk4(),
                                rtol=1e-6, atol=1e-12, h0=1e-5, h_max=h_max,
                                newton=eng, step_log=log)
     accepted_h = [h for _, h, _, ok in log if ok]
@@ -413,23 +390,22 @@ def test_adaptive_stiff_transient_saturates_at_h_max():
     assert max(accepted_h) == h_max
     # once the transient is resolved the controller rides the cap
     assert all(h == h_max for h in accepted_h[-20:-1])
-    assert abs(y.arrays[5][0, 0, 0, 0] - 1.0) <= 1e-8
+    assert abs(y.arrays[0][0] - 1.0) <= 1e-8
 
 
 def test_adaptive_newton_failure_shrinks_and_retries():
     # a zero Jacobian turns Newton into fixed-point iteration, which
     # diverges at large h; the adaptive driver must cut h and push on
     lam = -100.0
-    eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6)
+    eng = scalar_newton(lambda t: 0.0)
     stats = IntegrationStats()
-    y, _ = adaptive_evolve(_chem_rhs(lambda t, c: lam * c),
-                           _cell_state([1.0], 1), 0.0, 0.05, sdirk4(),
+    y, _ = adaptive_evolve(_scalar_rhs(lambda t, c: lam * c),
+                           _scalar_state(1.0), 0.0, 0.05, sdirk4(),
                            rtol=1e-5, atol=1e-9, h0=0.32, h_max=1.0,
                            newton=eng, stats=stats)
     assert stats.conv_failures >= 2
     assert eng.stats.failures == stats.conv_failures
-    got = y.arrays[5][0, 0, 0, 0]
+    got = y.arrays[0][0]
     assert abs(got - np.exp(lam * 0.05)) <= 1e-2 * np.exp(lam * 0.05)
 
 
@@ -464,11 +440,10 @@ def test_fixed_rejects_bad_step(h):
 
 def test_fixed_newton_failure_is_fatal():
     lam = -100.0
-    eng = NewtonEngine(lambda t, v: np.zeros((1, 1, 1, 1)), ((5, 5),),
-                       nb=6)
+    eng = scalar_newton(lambda t: 0.0)
     stats = IntegrationStats()
     with pytest.raises(SolverError, match="fixed step"):
-        fixed_evolve(_chem_rhs(lambda t, c: lam * c), _cell_state([1.0], 1),
+        fixed_evolve(_scalar_rhs(lambda t, c: lam * c), _scalar_state(1.0),
                      0.0, 1.0, 0.1, sdirk4(), newton=eng, stats=stats)
     assert stats.conv_failures == 1
     assert eng.stats.failures == 1
@@ -480,12 +455,9 @@ def test_adaptive_surrogate_network_meets_tolerances():
     net = SurrogateNetwork()
     rtol, atol = 1e-5, 1e-9
 
-    f, jac, pattern = network_on_full_state(net)
-    y = _cell_state([0.0] * N_SPECIES, N_SPECIES)
-    y.arrays[0][...] = 1.0
-    y.arrays[5][0, 0, 0, IH] = 1.0
-    y.arrays[5][0, 0, 0, IEG] = 1.0
-    eng = NewtonEngine(jac, pattern, nb=5 + N_SPECIES)
+    # H, H2 and e_g at rho = 1; norms count all 15 fields, as in a run
+    f, eng = network_on_fields(net, rho=1.0)
+    y = one_cell((1.0, 0.0, 1.0), global_length=5 + N_SPECIES)
     log = []
     stats = IntegrationStats()
     adaptive_evolve(f, y, 0.0, 0.1, sdirk4(), rtol=rtol, atol=atol,
@@ -494,7 +466,7 @@ def test_adaptive_surrogate_network_meets_tolerances():
 
     fr, jr = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(fr, [1.0, 0.0, 1.0], (0.0, 0.1), jac=jr, stiff=True)
-    got = y.arrays[5][0, 0, 0, [IH, IH2, IEG]]
+    got = np.array([a[0, 0, 0] for a in y.arrays])
     w = 1.0 / (rtol * np.abs(ref) + atol)
     wrms = np.sqrt(np.mean(((got - ref) * w) ** 2))
     assert wrms <= 5.0

@@ -31,7 +31,7 @@ from mrflow.testsuite import ConservationMonitor
 from mrflow.transport import run_spmd
 from mrflow.vectors import read_snapshot
 
-from cell_ode import network_on_full_state
+from cell_ode import network_on_full_state, one_field_views
 
 TINY_INI = """\
 [grid]
@@ -588,13 +588,13 @@ def test_worker_rejects_a_task_count_other_than_the_group_size(given, size):
 # ------------------------------------------- the fast problem, by reference
 
 class _WholeStateBookkeeping:
-    """The reference hooks: the fast solver gets all fifteen fields, and
-    only the gas energy is reconciled around it."""
+    """The reference hooks: the fast solver gets all fifteen fields, as
+    views of the state, and only the gas energy is reconciled around it."""
 
     def prepare(self, state, forcing, t):
         sync_gas_energy(state)
         self.eg_entry = state.arrays[5][..., IEG].copy()
-        return state, forcing
+        return one_field_views(state), one_field_views(forcing)
 
     def finalize(self, state, forcing, fast, d_tau):
         r_eg = forcing.arrays[5][..., IEG]
@@ -604,8 +604,8 @@ class _WholeStateBookkeeping:
 
 
 def _whole_state_problem(network):
-    f, jacobian, pattern = network_on_full_state(network)
-    newton = NewtonEngine(jacobian, pattern, nb=5 + N_SPECIES)
+    f, jacobian, names = network_on_full_state(network)
+    newton = NewtonEngine(jacobian, names)
     return f, newton, _WholeStateBookkeeping()
 
 

@@ -15,6 +15,8 @@ from mrflow.profiling import Profile, Region
 from mrflow.testsuite import linear_exact, observed_order
 from mrflow.vectors import ManyVector
 
+from cell_ode import one_cell, scalar_newton
+
 
 def _pair_state(a, b):
     return ManyVector([np.array([float(a)]), np.array([float(b)])])
@@ -254,27 +256,16 @@ class _CountingEngine(NewtonEngine):
         super().reset()
 
 
-def _cell_state(value):
-    arrays = [np.zeros((1, 1, 1)) for _ in range(5)]
-    arrays.append(np.full((1, 1, 1, 1), float(value)))
-    return ManyVector(arrays)
-
-
 def test_newton_engine_resets_for_every_fast_interval():
     lam = -5.0
     cpl = MRICoupling(knoth_wolke_3())
-    eng = _CountingEngine(lambda t, v: np.full((1, 1, 1, 1), lam),
-                          ((5, 5),), nb=6)
+    eng = scalar_newton(lambda t: lam, engine=_CountingEngine)
 
     def fast_f(t, v):
-        out = v.clone_empty()
-        for a in out.arrays[:5]:
-            a.fill(0.0)
-        out.arrays[5][...] = lam * (v.arrays[5] - 1.0)
-        return out
+        return ManyVector([lam * (v.arrays[0] - 1.0)])
 
     fast = FastSolve(table=sdirk4(), mode="fixed", h=1.0)
-    mri_step(cpl, _zero_rhs, fast_f, 0.0, 0.2, _cell_state(0.0), fast,
+    mri_step(cpl, _zero_rhs, fast_f, 0.0, 0.2, one_cell([0.0]), fast,
              newton=eng)
     assert eng.reset_calls == 3
 

@@ -1,4 +1,4 @@
-"""Block-diagonal LU, the reduced per-cell linear solve, and the modified
+"""Block-diagonal LU, the dense per-cell linear solve, and the modified
 Newton engine with its caching and reduction discipline."""
 
 import itertools
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrflow import newton
-from mrflow.chemistry import N_SPECIES, SurrogateNetwork
+from mrflow.chemistry import FAST_SLOTS, SurrogateNetwork
 from mrflow.harness import reaction_problem
 from mrflow.newton import (ConvergenceFailure, LinearSolveError,
                            NewtonEngine, block_lu_factor, block_lu_solve)
@@ -15,7 +15,7 @@ from mrflow.profiling import Profile
 from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector, ReductionLedger, error_weights
 
-from cell_ode import network_on_full_state
+from cell_ode import scalar_newton
 
 
 def test_block_lu_matches_dense_solve():
@@ -42,7 +42,7 @@ def test_block_lu_returns_composed_row_permutation():
     blocks = np.array([[[1.0, 2.0, 0.0], [0.0, 1.0, 5.0], [3.0, 1.0, 1.0]]])
     blocks = blocks.transpose(1, 2, 0).copy()
     perm = block_lu_factor(blocks)
-    np.testing.assert_array_equal(perm.T, [[2, 0, 1]])
+    np.testing.assert_array_equal(perm.T, [[2, 0, 1]])  # one cell
     x = block_lu_solve(blocks, perm, np.array([[1.0, 2.0, 3.0]]).T.copy())
     np.testing.assert_allclose(x.T, np.array([[11.0, 1.0, 5.0]]) / 13.0,
                                rtol=1e-15)
@@ -102,7 +102,7 @@ def test_block_lu_bitwise_equal_to_rowwise_oracle(n_cells, nb):
     perm = block_lu_factor(lu)
     x = block_lu_solve(lu, perm, rhs.T.copy())
     assert np.array_equal(lu, lu_old.transpose(1, 2, 0))
-    assert np.array_equal(perm, perm_old.T)
+    assert np.array_equal(perm // n_cells, perm_old.T)
     assert np.array_equal(x, x_old.T)
 
 
@@ -118,9 +118,10 @@ def test_block_lu_mixed_pivoting_across_cells():
     rhs = rng.standard_normal((n_cells, 3))
     lu = blocks.transpose(1, 2, 0).copy()
     perm = block_lu_factor(lu)
+    rows = perm // n_cells
     for c in range(n_cells):
-        np.testing.assert_array_equal(perm[:, c], np.argsort(s[c]))
-    assert (perm == np.arange(3)[:, None]).all(axis=0).sum() == 4  # no swap
+        np.testing.assert_array_equal(rows[:, c], np.argsort(s[c]))
+    assert (rows == np.arange(3)[:, None]).all(axis=0).sum() == 4  # no swap
     x = block_lu_solve(lu, perm, rhs.T.copy())
     expect = np.linalg.solve(blocks, rhs[..., None])[..., 0]
     assert np.abs(x.T - expect).max() / np.abs(expect).max() <= 1e-14
@@ -133,44 +134,37 @@ def test_block_lu_mixed_pivoting_across_cells():
     assert (info.value.cell, info.value.column) == (5, 1)
 
 
-def _state(shape, n_chem, comm=None, batched=True):
-    n = int(np.prod(shape))
-    arrays = [np.zeros(shape) for _ in range(5)] + [np.zeros(shape + (n_chem,))]
+def _vector(shape, m, comm=None, batched=True):
+    """m zero arrays of the given cell shape, one field each."""
     size = comm.size if comm is not None else 1
-    return ManyVector(arrays, global_length=n * (5 + n_chem) * size, comm=comm,
+    return ManyVector([np.zeros(shape) for _ in range(m)],
+                      global_length=int(np.prod(shape)) * m * size, comm=comm,
                       batched_reductions=batched)
 
 
-# a linear stiff term acting on two chemistry slots; exact Jacobian
-LIN_PATTERN = ((5, 5), (6, 6), (6, 5))
+# a linear stiff term on two fields: x' = -2x, y' = x - 3y; exact Jacobian
+LIN_JAC = np.array([[-2.0, 0.0], [1.0, -3.0]])
 
 
 def _linear_f(t, v):
-    out = v.clone_empty()
-    for a in out.arrays[:5]:
-        a.fill(0.0)
-    chem = v.arrays[5]
-    oc = out.arrays[5]
-    oc.fill(0.0)
-    oc[..., 0] = -2.0 * chem[..., 0]
-    oc[..., 1] = chem[..., 0] - 3.0 * chem[..., 1]
-    return out
+    x, y = v.arrays
+    return ManyVector([-2.0 * x, x - 3.0 * y], v.global_length, v.comm,
+                      v.batched_reductions)
 
 
 def _linear_jac(t, v):
-    shape = v.arrays[0].shape
-    cols = [np.full(shape, -2.0), np.full(shape, -3.0), np.full(shape, 1.0)]
-    return np.stack(cols, axis=-1)
+    return np.multiply.outer(LIN_JAC, np.ones(v.arrays[0].shape))
 
 
 def _linear_setup(comm=None, batched=True, hg=1e-8):
-    shape, nc = (4, 2, 2), 2
-    z = _state(shape, nc, comm, batched)
+    shape = (4, 2, 2)
+    z = _vector(shape, 2, comm, batched)
     rng = np.random.default_rng(77)
-    z.arrays[5][...] = rng.uniform(0.5, 2.0, shape + (nc,))
+    for x in z.arrays:
+        x[...] = rng.uniform(0.5, 2.0, shape)
     a = z.copy()
     weights = error_weights(z, 1e-5, 1e-9)
-    eng = NewtonEngine(_linear_jac, LIN_PATTERN, nb=5 + nc)
+    eng = NewtonEngine(_linear_jac, ("x", "y"))
     return eng, z, a, weights, hg
 
 
@@ -181,8 +175,8 @@ def test_linear_problem_converges_in_one_iteration():
     assert eng.stats.iterations == 1
     # stage equation z - hg f(z) - a = 0 holds to roundoff
     f = _linear_f(0.0, z)
-    resid = z.arrays[5] - hg * f.arrays[5] - a.arrays[5]
-    assert np.abs(resid).max() <= 1e-15
+    for zz, ff, aa in zip(z.arrays, f.arrays, a.arrays):
+        assert np.abs(zz - hg * ff - aa).max() <= 1e-15
 
 
 def _ledger_worker(comm, batched):
@@ -197,10 +191,10 @@ def _ledger_worker(comm, batched):
 @pytest.mark.parametrize("batched", [True, False])
 def test_one_reduction_round_per_iteration(batched):
     # the convergence norm is wrms_norm: one round per iteration when
-    # batched, one per subvector (6 here) when not
+    # batched, one per array of the vector (2 here) when not
     for iters, rounds, _ in run_spmd(2, _ledger_worker, batched):
         assert iters == 1
-        assert rounds == (1 if batched else 6)
+        assert rounds == (1 if batched else 2)
 
 
 def test_linear_solve_no_communication():
@@ -211,89 +205,55 @@ def test_linear_solve_no_communication():
         assert (sends, recvs) == (iters, iters)
 
 
-def _blocks(v) -> np.ndarray:
-    """Cell-major (n_cells, 5 + n_c) copy of a fluid+chemistry vector."""
-    chem = v.arrays[5]
-    return np.concatenate([a.reshape(-1, 1) for a in v.arrays[:5]]
-                          + [chem.reshape(-1, chem.shape[-1])], axis=1)
-
-
-def _one_update(pattern, nb, vals, hg, seed=21):
+def _one_update(jac, hg, seed=21):
     """The first Newton update from z = 0 (so z ends equal to it), with a
-    constant right-hand side and Jacobian values `vals` (n_cells, nnz)."""
-    shape = (3, 2, 1)
+    constant right-hand side and Jacobian `jac` (m, m) + cell shape;
+    returns it and the residual, each (m, n_cells)."""
+    m, shape = jac.shape[0], jac.shape[2:]
     rng = np.random.default_rng(seed)
-    z = _state(shape, nb - 5)
+    z = _vector(shape, m)
     a, forcing = z.copy(), z.copy()
     for x in a.arrays + forcing.arrays:
         x[...] = rng.standard_normal(x.shape)
-    eng = NewtonEngine(lambda t, v: vals.reshape(shape + (len(pattern),)),
-                       pattern, nb=nb)
+    eng = NewtonEngine(lambda t, v: jac, [f"z{r}" for r in range(m)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(newton, "DEFAULT_CONV_COEF", np.inf)
         eng.solve(lambda t, v: forcing.copy(), 0.0, z, a, hg,
                   error_weights(a, 1e-5, 1e-9))
-    return _blocks(z), -hg * _blocks(forcing) - _blocks(a)
+
+    def rows(v):
+        return np.stack([x.reshape(-1) for x in v.arrays])
+
+    return rows(z), -hg * rows(forcing) - rows(a)
 
 
-def _dense_update(pattern, nb, vals, hg, resid):
-    """np.linalg.solve on the full (5 + n_c)^2 matrix I - hg*J."""
-    mat = np.tile(np.eye(nb), (len(vals), 1, 1))
-    for k, (r, c) in enumerate(pattern):
-        mat[:, r, c] -= hg * vals[:, k]
-    return np.linalg.solve(mat, -resid[..., None])[..., 0]
-
-
-def _random_pattern(nb, seed):
-    rng = np.random.default_rng(seed)
-    rows = sorted(int(r) for r in rng.choice(nb, 4, replace=False))
-    pattern = [(r, c) for r in rows for c in rows if rng.random() < 0.6]
-    known = next(c for c in range(nb) if c not in rows)
-    return tuple(pattern) + ((rows[1], known), (rows[3], known))
-
-
-@pytest.mark.parametrize("pattern, nb", [
-    (network_on_full_state(SurrogateNetwork())[2], 5 + N_SPECIES),
-    (LIN_PATTERN, 7),
-    (_random_pattern(11, 8), 11),
-], ids=["surrogate", "linear", "random"])
-def test_update_matches_dense_solve(pattern, nb):
-    vals = np.random.default_rng(nb).standard_normal((6, len(pattern)))
-    got, resid = _one_update(pattern, nb, vals, 0.3)
-    expect = _dense_update(pattern, nb, vals, 0.3, resid)
+@pytest.mark.parametrize("m, zero_rows", [
+    (3, ()), (7, (1, 4)),
+    (15, tuple(r for r in range(15) if r - 5 not in FAST_SLOTS)),
+], ids=["dense", "random", "surrogate"])
+def test_update_matches_dense_solve(m, zero_rows):
+    # random dense blocks; the 15 x 15 case has the network's rows on the
+    # fluid + chemistry state, all others zero
+    shape = (3, 2, 1)
+    jac = np.random.default_rng(m).standard_normal((m, m) + shape)
+    jac[list(zero_rows)] = 0.0
+    got, resid = _one_update(jac, 0.3)
+    mat = np.eye(m) - 0.3 * jac.reshape(m, m, -1).transpose(2, 0, 1)
+    expect = np.linalg.solve(mat, -resid.T[..., None])[..., 0].T
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
-
-
-def test_duplicate_pattern_entries_accumulate():
-    # two entries on one block slot and two on one known-column slot
-    dup = ((5, 6), (5, 6), (6, 0), (6, 0), (6, 6))
-    merged = ((5, 6), (6, 0), (6, 6))
-    vals = np.tile([3.0, 4.0, 1.5, 2.5, -2.0], (6, 1))
-    got, resid = _one_update(dup, 7, vals, 1.0)
-    want, _ = _one_update(merged, 7, np.tile([7.0, 4.0, -2.0], (6, 1)), 1.0)
-    np.testing.assert_array_equal(got, want)
-    expect = _dense_update(dup, 7, vals, 1.0, resid)
-    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
-
-
-@pytest.mark.parametrize("entry", [(0, 7), (7, 0), (-1, 5), (5, -1)],
-                         ids=["col-high", "row-high", "row-low", "col-low"])
-def test_pattern_outside_block_rejected(entry):
-    with pytest.raises(ValueError, match="outside block"):
-        NewtonEngine(lambda t, v: None, ((5, 5), entry), nb=7)
 
 
 def test_singular_block_names_cell_and_field():
     # J = 1 at hg = 1 makes the 1x1 block of cell 1 exactly zero
     shape = (3, 1, 1)
-    z = _state(shape, 1)
-    jac = np.array([0.5, 1.0, 0.5]).reshape(shape + (1,))
-    eng = NewtonEngine(lambda t, v: jac, ((5, 5),), nb=6)
+    z = _vector(shape, 1)
+    jac = np.array([0.5, 1.0, 0.5]).reshape((1, 1) + shape)
+    eng = NewtonEngine(lambda t, v: jac, ("H",))
     with pytest.raises(LinearSolveError,
                        match=r"local cell 1: zero pivot for field H$") as info:
         eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 1.0,
                   error_weights(z, 1e-5, 1e-9))
-    assert (info.value.cell, info.value.column) == (1, 5)
+    assert (info.value.cell, info.value.column) == (1, 0)
 
 
 def _network_setup(hg):
@@ -309,7 +269,7 @@ def _network_setup(hg):
         return ManyVector(net.rhs(rho, v.arrays))
 
     eng = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays),
-                       net.PATTERN, nb=3, names=net.FIELDS)
+                       net.FIELDS)
     a = z.copy()
     weights = error_weights(z, 1e-8, 1e-12)
     return eng, f, z, a, weights, hg
@@ -322,8 +282,8 @@ def test_singular_reduced_block_names_a_network_field(diagonal, field, column):
     # the run's engine on the three network fields: at hg = 1, J = diag(...)
     # in cell 1 zeroes the block there, or only its e_g row
     _, eng, _ = reaction_problem(SurrogateNetwork(), Profile())
-    vals = np.zeros((4, 9))
-    vals[1, [0, 4, 8]] = diagonal
+    vals = np.zeros((3, 3, 2, 2, 1))
+    vals[range(3), range(3), 0, 1, 0] = diagonal
     eng.jacobian = lambda t, v: vals
     z = ManyVector([np.ones((2, 2, 1)) for _ in range(3)])
     with pytest.raises(LinearSolveError,
@@ -369,23 +329,12 @@ def test_newton_nonlinear_converges_and_satisfies_stage_equation():
 
 def test_divergence_raises_with_freshness_flag():
     # Jacobian with the wrong sign at hg=1 sends the iteration away
-    def wrong_jac(t, v):
-        shape = v.arrays[0].shape
-        return np.stack([np.full(shape, 50.0)], axis=-1)
-
     def f(t, v):
-        out = v.clone_empty()
-        for arr in out.arrays[:5]:
-            arr.fill(0.0)
-        out.arrays[5][...] = -50.0 * v.arrays[5]
-        return out
+        return ManyVector([-50.0 * v.arrays[0]])
 
-    shape = (2, 1, 1)
-    z = _state(shape, 1)
-    z.arrays[5][...] = 1.0
-    a = z.copy()
-    a.arrays[5][...] = 0.5
-    eng = NewtonEngine(wrong_jac, ((5, 5),), nb=6)
+    z = _vector((2, 1, 1), 1).fill(1.0)
+    a = z.copy().fill(0.5)
+    eng = scalar_newton(lambda t: 50.0)
     weights = error_weights(z, 1e-5, 1e-9)
     with pytest.raises(ConvergenceFailure) as info:
         eng.solve(f, 0.0, z, a, 1.0, weights)
@@ -401,10 +350,8 @@ def test_non_finite_update_norm_fails_at_once():
         out.fill(np.nan)
         return out
 
-    shape = (2, 1, 1)
-    z = _state(shape, 1)
-    eng = NewtonEngine(lambda t, v: np.zeros(v.arrays[0].shape + (1,)),
-                       ((5, 5),), nb=6)
+    z = _vector((2, 1, 1), 1)
+    eng = scalar_newton(lambda t: 0.0)
     with pytest.raises(ConvergenceFailure, match="after 1 iterations"):
         eng.solve(nan_rhs, 0.0, z, z.copy(), 0.5, error_weights(z, 1e-5, 1e-9))
     assert (eng.stats.iterations, eng.stats.failures) == (1, 1)
