@@ -1,13 +1,13 @@
 """Multirate finite-difference solver for reactive compressible flow on
 block-decomposed grids."""
 
-from .ark import (ButcherTable, IntegrationStats, SolverError,
+from .ark import (ButcherTable, FastSolve, IntegrationStats, SolverError,
                   bogacki_shampine_32, classic_rk4, knoth_wolke_3, sdirk4)
 from .chemistry import SurrogateNetwork, UnitSystem
 from .euler import EulerPipeline, GasConstants
 from .harness import RunConfig, load_config, main, scaling_plan
 from .mesh import Decomposition, UniformGrid
-from .mri import FastSolve, MRICoupling, evolve_two_phase, mri_step
+from .mri import MRICoupling, evolve_two_phase, mri_step
 from .newton import NewtonEngine
 from .profiling import Profile, Region
 from .transport import Communicator, run_spmd, run_spmd_sockets

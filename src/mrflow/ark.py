@@ -1,4 +1,4 @@
-"""Runge-Kutta tables, steppers, and the adaptive step driver.
+"""Runge-Kutta tables, steppers, and the step driver.
 
 Explicit tables handle the advection phases, the L-stable SDIRK table
 handles the stiff reaction sub-systems. One stage loop, dirk_step, takes
@@ -8,7 +8,9 @@ without a Newton engine. Stage values are built with the fused
 linear-combination kernel so fused and unfused runs produce bitwise
 identical states. Implicit stages recover their derivatives
 algebraically from the Newton solution instead of paying an extra
-right-hand-side evaluation.
+right-hand-side evaluation. One driver, evolve, steps either table
+type: in fixed steps, or adaptively under the integral controller, as
+its FastSolve says.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ MAX_GROWTH = 2.0
 ERROR_BIAS = 2.0
 NEWTON_SHRINK = 0.25
 DEFAULT_MAX_STEPS = 5000
+FAST_START_FRACTION = 0.01   # adaptive h0 = cap / 100
 
 
 class SolverError(RuntimeError):
@@ -176,101 +179,102 @@ class IntegrationStats:
     last_h: float = 0.0
 
 
-def adaptive_evolve(f, y, t0: float, tf: float, table: ButcherTable, *,
-                    rtol: float, atol: float, h0: float, h_max: float,
-                    newton=None, stats: IntegrationStats = None, step_log=None):
-    """Advance y from t0 to tf with error-controlled steps.
+@dataclass
+class FastSolve:
+    """How evolve integrates. Mode "fixed" steps by h; mode "adaptive"
+    controls the error to rtol/atol, with steps capped at
+    min(tf - t0, h) and DEFAULT_MAX_STEPS attempts a call."""
+    table: ButcherTable
+    mode: str = "adaptive"
+    h: float = np.inf
+    rtol: float = 1e-5
+    atol: float = 1e-9
 
-    y is updated in place and also returned. Raises SolverError at the
+    def __post_init__(self):
+        if self.mode not in ("adaptive", "fixed"):
+            raise ValueError(f"unknown fast mode {self.mode!r}")
+
+
+def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
+           stats: IntegrationStats = None, h0: float = None, step_log=None):
+    """Advance y from t0 to tf with fast.table; y is updated in place
+    and also returned.
+
+    Fixed mode takes steps of fast.h, the last one truncated to hit tf,
+    and a Newton convergence failure is fatal: there is no step size to
+    cut. Adaptive mode starts at h0 (default FAST_START_FRACTION of the
+    cap) and runs the integral controller. It raises SolverError at the
     first non-finite error estimate, when the step size underflows, or
-    when the call has made DEFAULT_MAX_STEPS attempts.
-    step_log, if given, receives one (t, h, error, accepted) tuple per
+    when the call has made DEFAULT_MAX_STEPS attempts. step_log, if
+    given, receives one (t, h, error, accepted) tuple per adaptive
     attempt.
     """
     if stats is None:
         stats = IntegrationStats()
-    if table.b_embedded is None:
-        raise SolverError(f"table {table.name} has no error estimate")
+    adaptive = fast.mode == "adaptive"
+    if adaptive:
+        if fast.table.b_embedded is None:
+            raise SolverError(f"table {fast.table.name} has no error estimate")
+        h_max = min(tf - t0, fast.h)
+        h = min(FAST_START_FRACTION * h_max if h0 is None else h0, h_max)
+        err = y.clone_empty()
+    elif np.isfinite(fast.h) and fast.h > 0.0:
+        h, err = fast.h, None
+    else:
+        raise SolverError(
+            f"fixed step must be positive and finite, got {fast.h!r}")
     t = t0
-    h = min(h0, h_max)
     weights = y.clone_empty()
-    err = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
     base_steps = stats.steps   # the budget is per call, stats may be shared
     while tf - t > tiny:
-        if stats.steps - base_steps >= DEFAULT_MAX_STEPS:
+        if adaptive and stats.steps - base_steps >= DEFAULT_MAX_STEPS:
             raise SolverError(
                 f"step budget of {DEFAULT_MAX_STEPS} exhausted at t={t!r}")
-        if h < tiny:
+        if adaptive and h < tiny:
             raise SolverError(f"step size underflow at t={t!r}")
         h_try = min(h, tf - t)
-        stats.steps += 1
-        error_weights(y, rtol, atol, weights)
+        error_weights(y, fast.rtol, fast.atol, weights)
         try:
             if newton is None:
-                y_new = erk_step(f, t, h_try, y, table, err_out=err)
+                y_new = erk_step(f, t, h_try, y, fast.table, err_out=err)
             else:
-                y_new = dirk_step(f, newton, t, h_try, y, table, weights,
+                y_new = dirk_step(f, newton, t, h_try, y, fast.table, weights,
                                   err_out=err)
         except ConvergenceFailure as exc:
             stats.conv_failures += 1
+            if not adaptive:
+                raise SolverError(
+                    f"Newton failed at t={t!r} with fixed step {h_try!r}"
+                ) from exc
+            stats.steps += 1
             if exc.jac_was_fresh:
                 h = NEWTON_SHRINK * h_try
             # a stale Jacobian was already dropped; retry at the same size
             continue
-        error = wrms_norm(err, weights)
-        if not np.isfinite(error):
-            raise SolverError(
-                f"non-finite error estimate {error} at t={t!r} with h={h_try!r}")
-        h_next = next_step_size(h_try, error, table.embedded_order, h_max)
-        accepted = error <= 1.0
-        if step_log is not None:
-            step_log.append((t, h_try, error, accepted))
-        if not accepted:
-            stats.rejected += 1
-            h = h_next
-            continue
+        stats.steps += 1
+        if adaptive:
+            error = wrms_norm(err, weights)
+            if not np.isfinite(error):
+                raise SolverError(f"non-finite error estimate {error} at"
+                                  f" t={t!r} with h={h_try!r}")
+            h = next_step_size(h_try, error, fast.table.embedded_order, h_max)
+            if step_log is not None:
+                step_log.append((t, h_try, error, error <= 1.0))
+            if error > 1.0:
+                stats.rejected += 1
+                continue
         stats.accepted += 1
         stats.last_h = h_try
         t += h_try
         for dst, src in zip(y.arrays, y_new.arrays):
             dst[:] = src
-        h = h_next
     return y, stats
 
 
 def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,
                  newton=None, rtol: float = 1e-5, atol: float = 1e-9,
                  stats: IntegrationStats = None):
-    """Advance y with constant steps (the last one truncated to hit tf).
-
-    A Newton convergence failure is fatal here: fixed mode has no step
-    size to cut.
-    """
-    if not (np.isfinite(h) and h > 0.0):
-        raise SolverError(f"fixed step must be positive and finite, got {h!r}")
-    if stats is None:
-        stats = IntegrationStats()
-    t = t0
-    weights = y.clone_empty()
-    tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
-    while tf - t > tiny:
-        h_try = min(h, tf - t)
-        error_weights(y, rtol, atol, weights)
-        try:
-            if newton is None:
-                y_new = erk_step(f, t, h_try, y, table)
-            else:
-                y_new = dirk_step(f, newton, t, h_try, y, table, weights)
-        except ConvergenceFailure as exc:
-            stats.conv_failures += 1
-            raise SolverError(
-                f"Newton failed at t={t!r} with fixed step {h_try!r}"
-            ) from exc
-        stats.steps += 1
-        stats.accepted += 1
-        stats.last_h = h_try
-        t += h_try
-        for dst, src in zip(y.arrays, y_new.arrays):
-            dst[:] = src
-    return y, stats
+    """evolve in fixed steps of h."""
+    return evolve(f, y, t0, tf, FastSolve(table, "fixed", h, rtol, atol),
+                  newton=newton, stats=stats)

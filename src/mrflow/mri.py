@@ -10,7 +10,8 @@ integrator over [t + c_{i-1} h, t + c_i h] under the tendency
 
 so the slow increments telescope to the outer table's update while the
 fast physics runs at its own resolution. Stages with equal abscissae
-collapse to a plain explicit update. The fast solver starts each stage
+collapse to a plain explicit update. Each fast interval is one
+ark.evolve call, fixed or adaptive as a FastSolve sets it, and starts
 cold: fresh controller, fresh Jacobian cache.
 
 The fast integrator advances the whole state, or what stage hooks hand
@@ -24,32 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ark import (ButcherTable, IntegrationStats, SolverError,
-                  adaptive_evolve, fixed_evolve)
+from .ark import (ButcherTable, FastSolve, IntegrationStats, SolverError,
+                  evolve)
 from .profiling import Profile, Region
 from .vectors import fused_linear_combination
-
-FAST_START_FRACTION = 0.01   # initial fast step = cap / 100
 
 
 class CouplingError(ValueError):
     pass
-
-
-@dataclass
-class FastSolve:
-    """How to integrate the fast sub-IVPs. Mode "fixed" steps by h;
-    mode "adaptive" controls the error to rtol/atol, with steps capped at
-    min(stage width, h) and ark.DEFAULT_MAX_STEPS attempts a stage."""
-    table: ButcherTable
-    mode: str = "adaptive"
-    h: float = np.inf
-    rtol: float = 1e-5
-    atol: float = 1e-9
-
-    def __post_init__(self):
-        if self.mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown fast mode {self.mode!r}")
 
 
 class MRICoupling:
@@ -91,10 +74,8 @@ def mri_forcing(coupling: MRICoupling, i: int, slow_rhs, out):
 def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
              fast: FastSolve, newton=None, hooks=None,
              fast_stats: IntegrationStats = None):
-    """One slow step; returns the new state, y is untouched. fast.h is
-    the fast step in mode "fixed" and its cap in mode "adaptive"."""
-    if fast_stats is None:
-        fast_stats = IntegrationStats()
+    """One slow step; returns the new state, y is untouched. `fast`
+    sets how each fast interval is integrated (see ark.FastSolve)."""
     z = y.copy()
     slow_rhs = [slow_f(t + coupling.c[0] * h, z)]
     forcing = y.clone_empty()
@@ -120,16 +101,8 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
             if newton is not None:
                 newton.reset()
             try:
-                if fast.mode == "fixed":
-                    fixed_evolve(tendency, v, t_a, t_b, fast.h,
-                                 fast.table, newton=newton, rtol=fast.rtol,
-                                 atol=fast.atol, stats=fast_stats)
-                else:
-                    cap = min(t_b - t_a, fast.h)
-                    adaptive_evolve(tendency, v, t_a, t_b, fast.table,
-                                    rtol=fast.rtol, atol=fast.atol,
-                                    h0=FAST_START_FRACTION * cap, h_max=cap,
-                                    newton=newton, stats=fast_stats)
+                evolve(tendency, v, t_a, t_b, fast, newton=newton,
+                       stats=fast_stats)
             except SolverError as exc:
                 raise SolverError(
                     f"fast solve failed at slow stage {i + 1}: {exc}") from exc
@@ -153,7 +126,9 @@ def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
                      profile=None) -> EvolveResult:
     """Transient phase, then a measured phase; each phase is timed in
     its own region. The phases set the mode of `fast`: the transient
-    steps adaptively, the measured phase in fixed steps of fast.h."""
+    steps adaptively, the measured phase in fixed steps of fast.h. A
+    SolverError is raised again naming the phase, the 1-based slow step
+    and its t."""
     if not (np.isfinite(h_slow) and h_slow > 0.0):
         raise SolverError(
             f"slow step must be positive and finite, got {h_slow!r}")
@@ -167,10 +142,14 @@ def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
         tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t_a), abs(t_b))
         while t_b - t > tiny:
             h_try = min(h_slow, t_b - t)
-            with profile.region(region):
-                y = mri_step(coupling, slow_f, fast_f, t, h_try, y,
-                             fast_cfg, newton=newton, hooks=hooks,
-                             fast_stats=fast_stats)
+            try:
+                with profile.region(region):
+                    y = mri_step(coupling, slow_f, fast_f, t, h_try, y,
+                                 fast_cfg, newton=newton, hooks=hooks,
+                                 fast_stats=fast_stats)
+            except SolverError as exc:
+                raise SolverError(f"{region.value} phase, slow step"
+                                  f" {n_slow + 1} at t={t!r}: {exc}") from exc
             t += h_try
             n_slow += 1
     return EvolveResult(y, n_slow, fast_stats)

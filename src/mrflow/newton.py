@@ -26,14 +26,14 @@ from functools import reduce
 import numpy as np
 
 from .profiling import Profile, Region
-from .vectors import wrms_norm
+from .vectors import ManyVector, wrms_norm
 
 MAX_ITERS = 10
 DEFAULT_CONV_COEF = 0.01
 
 
 class LinearSolveError(RuntimeError):
-    """A singular block; cell and column locate the zero pivot."""
+    """A singular block at (cell, column), or a Jacobian of the wrong shape."""
 
     def __init__(self, message: str, cell: int | None = None,
                  column: int | None = None):
@@ -110,12 +110,12 @@ class NewtonEngine:
 
     The vector has m = len(names) arrays, one field each; names[r]
     names array r's field in errors. jacobian(t, z) must return the
-    (m, m) + cell shape blocks, entry [r][c] = d f_r / d z_c. The
-    iteration matrix I - hg*J is kept (with its factorization) between
-    calls and rebuilt only when hg changes or reset()/a convergence
-    failure invalidates it. The convergence norm reduces on the
-    vectors' own communicator. The iteration converges at
-    rate * norm <= DEFAULT_CONV_COEF.
+    (m, m) + cell shape blocks, entry [r][c] = d f_r / d z_c, or the
+    solve raises LinearSolveError. The iteration matrix I - hg*J is
+    kept (with its factorization) between calls and rebuilt only when
+    hg changes or reset()/a convergence failure invalidates it. The
+    convergence norm takes the length and the communicator of z. The
+    iteration converges at rate * norm <= DEFAULT_CONV_COEF.
     """
 
     def __init__(self, jacobian, names, profile=None):
@@ -146,7 +146,12 @@ class NewtonEngine:
         fresh = self._jac_values is None
         if fresh:
             with self.profile.region(Region.FAST_JAC):
-                self._jac_values = self.jacobian(t, z)
+                jac = self.jacobian(t, z)
+            want = (len(self.names),) * 2 + z.arrays[0].shape
+            if np.shape(jac) != want:
+                raise LinearSolveError(
+                    f"Jacobian has shape {np.shape(jac)}, expected {want}")
+            self._jac_values = jac
             self.stats.jac_evals += 1
         if fresh or self._lu is None or hg != self._hg_cached:
             self._factor(hg)
@@ -165,7 +170,8 @@ class NewtonEngine:
             self.stats.solves += 1
             for zz, dd in zip(z.arrays, resid.arrays):
                 zz += dd
-            norm = wrms_norm(resid, weights)
+            norm = wrms_norm(ManyVector(resid.arrays, z.global_length, z.comm,
+                                        z.batched_reductions), weights)
             if not np.isfinite(norm):
                 break
             if norm_prev is not None:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
-                        adaptive_evolve, bogacki_shampine_32, classic_rk4,
-                        erk_step, fixed_evolve, knoth_wolke_3,
+                        bogacki_shampine_32, classic_rk4, erk_step, evolve,
+                        fixed_evolve, knoth_wolke_3,
                         next_step_size, sdirk4)
 from mrflow.chemistry import IH, IH2, N_SPECIES, SurrogateNetwork, UnitSystem
 from mrflow.euler import EulerPipeline, GasConstants, cfl_time_step
@@ -244,8 +244,9 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     f_net, eng = network_on_fields(net, rho=1.0)
     y = one_cell((1.0, 0.0, 1.0), global_length=5 + N_SPECIES)
     log = []
-    adaptive_evolve(f_net, y, 0.0, h_slow, table, rtol=rtol, atol=atol,
-                    h0=1e-6, h_max=h_max, newton=eng, step_log=log)
+    evolve(f_net, y, 0.0, h_slow,
+           FastSolve(table, h=h_max, rtol=rtol, atol=atol), h0=1e-6,
+           newton=eng, step_log=log)
 
     f_ref, j_ref = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(f_ref, [1.0, 0.0, 1.0], (0.0, h_slow), jac=j_ref,

@@ -1,14 +1,15 @@
 """Butcher tables, the embedded-error steppers, the integral controller,
-and both evolve drivers (adaptive and fixed-step)."""
+and the step driver, adaptive and fixed-step."""
 
 import numpy as np
 import pytest
 
 from mrflow import ark
 from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
-                        IntegrationStats, SolverError, adaptive_evolve,
+                        FastSolve, IntegrationStats, SolverError,
                         bogacki_shampine_32, classic_rk4, dirk_step, erk_step,
-                        fixed_evolve, knoth_wolke_3, next_step_size, sdirk4)
+                        evolve, fixed_evolve, knoth_wolke_3, next_step_size,
+                        sdirk4)
 from mrflow.chemistry import N_SPECIES, SurrogateNetwork
 from mrflow.testsuite import observed_order, reference_ivp
 from mrflow.vectors import ManyVector
@@ -287,9 +288,10 @@ def test_adaptive_zero_rhs_max_growth_cascade():
     f = _scalar_rhs(lambda t, v: 0.0 * v)
     log = []
     stats = IntegrationStats()
-    y, _ = adaptive_evolve(f, _scalar_state(4.0), 0.0, 1.0,
-                           bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                           h0=1e-3, h_max=10.0, stats=stats, step_log=log)
+    y, _ = evolve(f, _scalar_state(4.0), 0.0, 1.0,
+                  FastSolve(bogacki_shampine_32(), h=10.0, rtol=1e-6,
+                            atol=1e-9),
+                  h0=1e-3, stats=stats, step_log=log)
     assert y.arrays[0][0] == 4.0
     assert stats.rejected == 0
     assert stats.accepted == len(log)
@@ -304,54 +306,55 @@ def test_adaptive_zero_rhs_max_growth_cascade():
 def test_adaptive_short_interval_takes_single_truncated_step():
     f = _scalar_rhs(lambda t, v: 0.0 * v)
     stats = IntegrationStats()
-    adaptive_evolve(f, _scalar_state(1.0), 0.0, 0.25,
-                    bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                    h0=1.0, h_max=10.0, stats=stats)
+    evolve(f, _scalar_state(1.0), 0.0, 0.25,
+           FastSolve(bogacki_shampine_32(), h=10.0, rtol=1e-6, atol=1e-9),
+           h0=1.0, stats=stats)
     assert stats.steps == stats.accepted == 1
     assert stats.last_h == 0.25
 
 
 def test_adaptive_requires_an_embedded_table():
     with pytest.raises(SolverError, match="error estimate"):
-        adaptive_evolve(_scalar_rhs(lambda t, v: 0.0 * v), _scalar_state(1.0),
-                        0.0, 1.0, classic_rk4(), rtol=1e-6, atol=1e-9,
-                        h0=0.1, h_max=1.0)
+        evolve(_scalar_rhs(lambda t, v: 0.0 * v), _scalar_state(1.0),
+               0.0, 1.0, FastSolve(classic_rk4(), h=1.0, rtol=1e-6,
+                                   atol=1e-9), h0=0.1)
 
 
 def test_adaptive_step_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 10)
     f = _scalar_rhs(lambda t, v: 0.0 * v)
     with pytest.raises(SolverError, match="budget of 10"):
-        adaptive_evolve(f, _scalar_state(1.0), 0.0, 1.0,
-                        bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                        h0=1e-12, h_max=1e-9)
+        evolve(f, _scalar_state(1.0), 0.0, 1.0,
+               FastSolve(bogacki_shampine_32(), h=1e-9, rtol=1e-6,
+                         atol=1e-9), h0=1e-12)
 
 
 def test_adaptive_non_finite_error_estimate_fails_at_once():
     log = []
     with pytest.raises(SolverError, match=r"non-finite error estimate nan at "
                                           r"t=0\.0 with h=0\.1"):
-        adaptive_evolve(_scalar_rhs(lambda t, v: np.nan * v),
-                        ManyVector([np.ones(4)]), 0.0, 1.0,
-                        bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                        h0=0.1, h_max=1.0, step_log=log)
+        evolve(_scalar_rhs(lambda t, v: np.nan * v),
+               ManyVector([np.ones(4)]), 0.0, 1.0,
+               FastSolve(bogacki_shampine_32(), h=1.0, rtol=1e-6,
+                         atol=1e-9), h0=0.1, step_log=log)
     assert log == []
 
 
 def test_adaptive_step_size_underflow_is_fatal():
     f = _scalar_rhs(lambda t, v: 0.0 * v)
     with pytest.raises(SolverError, match="underflow"):
-        adaptive_evolve(f, _scalar_state(1.0), 0.0, 1.0,
-                        bogacki_shampine_32(), rtol=1e-6, atol=1e-9,
-                        h0=1e-15, h_max=1.0)
+        evolve(f, _scalar_state(1.0), 0.0, 1.0,
+               FastSolve(bogacki_shampine_32(), h=1.0, rtol=1e-6,
+                         atol=1e-9), h0=1e-15)
 
 
 def _run_decay(step_log=None):
     stats = IntegrationStats()
-    y, _ = adaptive_evolve(_scalar_rhs(lambda t, v: -50.0 * v),
-                           _scalar_state(1.0), 0.0, 0.2,
-                           bogacki_shampine_32(), rtol=1e-6, atol=1e-12,
-                           h0=1.0, h_max=10.0, stats=stats, step_log=step_log)
+    y, _ = evolve(_scalar_rhs(lambda t, v: -50.0 * v),
+                  _scalar_state(1.0), 0.0, 0.2,
+                  FastSolve(bogacki_shampine_32(), h=10.0, rtol=1e-6,
+                            atol=1e-12),
+                  h0=1.0, stats=stats, step_log=step_log)
     return y.arrays[0][0], stats
 
 
@@ -381,10 +384,10 @@ def test_adaptive_stiff_transient_saturates_at_h_max():
     h_max = 0.01
     eng = scalar_newton(lambda t: lam)
     log = []
-    y, stats = adaptive_evolve(_scalar_rhs(lambda t, c: lam * (c - 1.0)),
-                               _scalar_state(0.0), 0.0, 1.0, sdirk4(),
-                               rtol=1e-6, atol=1e-12, h0=1e-5, h_max=h_max,
-                               newton=eng, step_log=log)
+    y, stats = evolve(_scalar_rhs(lambda t, c: lam * (c - 1.0)),
+                      _scalar_state(0.0), 0.0, 1.0,
+                      FastSolve(sdirk4(), h=h_max, rtol=1e-6, atol=1e-12),
+                      h0=1e-5, newton=eng, step_log=log)
     accepted_h = [h for _, h, _, ok in log if ok]
     assert min(accepted_h) < h_max / 100.0
     assert max(accepted_h) == h_max
@@ -399,10 +402,10 @@ def test_adaptive_newton_failure_shrinks_and_retries():
     lam = -100.0
     eng = scalar_newton(lambda t: 0.0)
     stats = IntegrationStats()
-    y, _ = adaptive_evolve(_scalar_rhs(lambda t, c: lam * c),
-                           _scalar_state(1.0), 0.0, 0.05, sdirk4(),
-                           rtol=1e-5, atol=1e-9, h0=0.32, h_max=1.0,
-                           newton=eng, stats=stats)
+    y, _ = evolve(_scalar_rhs(lambda t, c: lam * c),
+                  _scalar_state(1.0), 0.0, 0.05,
+                  FastSolve(sdirk4(), h=1.0, rtol=1e-5, atol=1e-9),
+                  h0=0.32, newton=eng, stats=stats)
     assert stats.conv_failures >= 2
     assert eng.stats.failures == stats.conv_failures
     got = y.arrays[0][0]
@@ -446,7 +449,21 @@ def test_fixed_newton_failure_is_fatal():
         fixed_evolve(_scalar_rhs(lambda t, c: lam * c), _scalar_state(1.0),
                      0.0, 1.0, 0.1, sdirk4(), newton=eng, stats=stats)
     assert stats.conv_failures == 1
+    assert stats.steps == stats.accepted == 0
     assert eng.stats.failures == 1
+
+
+def test_fixed_mode_has_no_step_budget_or_underflow_check(monkeypatch):
+    # both guard the controller; fixed steps are sized by the caller
+    monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 2)
+    f = _scalar_rhs(lambda t, v: 0.0 * v)
+    # at t0 = 1e6 the step is below 64 ulp of t, where the adaptive
+    # driver reports an underflow, and so is the half step left over
+    for t0, h, steps in ((0.0, 0.25, 5), (1e6, 1e-8, 4)):
+        stats = IntegrationStats()
+        fixed_evolve(f, _scalar_state(1.0), t0, t0 + 4.5 * h, h,
+                     classic_rk4(), stats=stats)
+        assert stats.steps == stats.accepted == steps
 
 
 # ------------------------------------------- surrogate network, adaptive
@@ -460,9 +477,8 @@ def test_adaptive_surrogate_network_meets_tolerances():
     y = one_cell((1.0, 0.0, 1.0), global_length=5 + N_SPECIES)
     log = []
     stats = IntegrationStats()
-    adaptive_evolve(f, y, 0.0, 0.1, sdirk4(), rtol=rtol, atol=atol,
-                    h0=1e-6, h_max=1e-2, newton=eng, stats=stats,
-                    step_log=log)
+    evolve(f, y, 0.0, 0.1, FastSolve(sdirk4(), h=1e-2, rtol=rtol, atol=atol),
+           h0=1e-6, newton=eng, stats=stats, step_log=log)
 
     fr, jr = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(fr, [1.0, 0.0, 1.0], (0.0, 0.1), jac=jr, stiff=True)

@@ -281,18 +281,32 @@ def test_implicit_fast_table_without_newton_names_the_stage(mode):
 
 # ---------------------------------------------------------------- failure
 
+def _flaky(t, v):
+    if t > 0.34:   # inside the second fast interval of a step from 0 by 1
+        raise SolverError("synthetic fault")
+    return _zero_rhs(t, v)
+
+
 def test_fast_failure_reports_the_slow_stage():
     cpl = MRICoupling(knoth_wolke_3())
-
-    def flaky(t, v):
-        if t > 0.34:   # inside the second fast interval of an h = 1 step
-            raise SolverError("synthetic fault")
-        return _zero_rhs(t, v)
-
     fast = FastSolve(table=bogacki_shampine_32(), mode="adaptive")
     with pytest.raises(SolverError, match="slow stage 2.*synthetic"):
-        mri_step(cpl, _zero_rhs, flaky, 0.0, 1.0, _pair_state(1.0, 1.0),
+        mri_step(cpl, _zero_rhs, _flaky, 0.0, 1.0, _pair_state(1.0, 1.0),
                  fast)
+
+
+@pytest.mark.parametrize("t_split, phase", [(0.6, "transient"),
+                                            (0.2, "fixed")])
+def test_two_phase_failure_names_phase_and_slow_step(t_split, phase):
+    # the step from 0.2 by 0.2 reaches t = 0.34 in its second fast interval
+    fast = FastSolve(table=bogacki_shampine_32(), h=0.01)
+    with pytest.raises(SolverError) as info:
+        evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _flaky,
+                         _pair_state(1.0, 1.0), 0.0, t_split, 0.6, 0.2, fast)
+    assert str(info.value) == (
+        f"{phase} phase, slow step 2 at t=0.2: fast solve failed at slow"
+        " stage 2: synthetic fault")
+    assert "slow stage 2" in str(info.value.__cause__)
 
 
 def test_fast_budget_exhaustion_reports_the_slow_stage(monkeypatch):

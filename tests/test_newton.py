@@ -355,3 +355,37 @@ def test_non_finite_update_norm_fails_at_once():
     with pytest.raises(ConvergenceFailure, match="after 1 iterations"):
         eng.solve(nan_rhs, 0.0, z, z.copy(), 0.5, error_weights(z, 1e-5, 1e-9))
     assert (eng.stats.iterations, eng.stats.failures) == (1, 1)
+
+
+def test_norm_counts_the_state_length_not_the_rhs_length():
+    # a run's fast state keeps the length of the whole 15-field state; an
+    # f that returns the default length must not change the convergence
+    # test. The Jacobian -1.7 of f = -2 y contracts linearly, so a norm
+    # off by sqrt(15) would take one more iteration.
+    results = []
+    for keep in (False, True):
+        z = ManyVector([np.linspace(1.0, 2.0, 4)], global_length=15 * 4)
+        a = z.copy()
+        eng = NewtonEngine(lambda t, v: np.full((1, 1, 4), -1.7), ("y",))
+
+        def f(t, v):
+            return ManyVector([-2.0 * v.arrays[0]],
+                              v.global_length if keep else None)
+
+        iters = eng.solve(f, 0.0, z, a, 1.0, error_weights(a, 1e-5, 1e-9))
+        results.append((iters, z.arrays[0]))
+    (iters_default, z_default), (iters_kept, z_kept) = results
+    assert iters_default == iters_kept == 7
+    np.testing.assert_array_equal(z_default, z_kept)
+
+
+def test_jacobian_of_the_wrong_shape_is_rejected():
+    # (4, 9): 4 cells first, the 3x3 entries last; it has the right size
+    # but would be read as scrambled blocks
+    z = _vector((4,), 3).fill(1.0)
+    eng = NewtonEngine(lambda t, v: np.ones((4, 9)), ("H", "H2", "e_g"))
+    with pytest.raises(LinearSolveError,
+                       match=r"shape \(4, 9\), expected \(3, 3, 4\)"):
+        eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 0.1,
+                  error_weights(z, 1e-5, 1e-9))
+    assert eng._jac_values is None
