@@ -11,16 +11,25 @@ algebraically from the Newton solution instead of paying an extra
 right-hand-side evaluation. One driver, evolve, steps either table
 type: in fixed steps, or adaptively under the integral controller, as
 its FastSolve says.
+
+A fused run (batched_reductions) with a Newton engine speculates that
+every implicit stage converges at its first iteration: each stage keeps
+its update norm's local partials, and one round checks them all, once
+per adaptive attempt (with the error estimate's) or per fixed interval.
+If a stage fails that test, or a solve raises, the attempt or interval
+is undone and redone on the per-iteration path (IntegrationStats
+.fallbacks). Either way the bits are those of the per-iteration path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .newton import ConvergenceFailure
-from .vectors import error_weights, fused_linear_combination, wrms_norm
+from .newton import DEFAULT_CONV_COEF, ConvergenceFailure
+from .vectors import (error_weights, fused_linear_combination, wrms_finish,
+                      wrms_norm, wrms_partials)
 
 SAFETY = 0.99
 MAX_GROWTH = 2.0
@@ -119,12 +128,13 @@ def erk_step(f, t: float, h: float, y, table: ButcherTable, err_out=None):
 
 
 def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
-              weights, err_out=None):
+              weights, err_out=None, pending=None):
     """One diagonally implicit step; y is untouched, the new state
     y + h*sum b_i k_i is returned. newton and weights are read only by
     implicit stages; one without newton raises SolverError. If err_out
     is given and the table has an embedding, the local error
-    h*sum (b_i - b~_i) k_i is written there.
+    h*sum (b_i - b~_i) k_i is written there. Each Newton solve gets
+    pending (NewtonEngine.solve); one that raises appends NaNs instead.
 
     Stage derivatives come from k_i = (z_i - a_i)/(h*a_ii); the previous
     implicit stage value is the predictor for the next one.
@@ -144,7 +154,15 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
                               "and needs a Newton engine")
         if z is None:
             z = y.copy()
-        newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights)
+        try:
+            newton.solve(f, t + table.c[i] * h, z, a_vec, h * aii, weights,
+                         pending)
+        except Exception:
+            if pending is None:
+                raise
+            # peers still expect this task's partials; a real error
+            # raises again when the window is redone
+            pending += [np.nan] * len(z.arrays)
         k = y.clone_empty()
         fused_linear_combination([1.0, -1.0], [z, a_vec], k)
         for arr in k.arrays:
@@ -176,6 +194,7 @@ class IntegrationStats:
     accepted: int = 0
     rejected: int = 0
     conv_failures: int = 0
+    fallbacks: int = 0   # speculative attempts or intervals redone
     last_h: float = 0.0
 
 
@@ -227,6 +246,8 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
     weights = y.clone_empty()
     tiny = 64.0 * np.finfo(np.float64).eps * max(abs(t0), abs(tf))
     base_steps = stats.steps   # the budget is per call, stats may be shared
+    speculate = newton is not None and y.batched_reductions
+    pending = None   # norm partials of the open speculative window
     while tf - t > tiny:
         if adaptive and stats.steps - base_steps >= DEFAULT_MAX_STEPS:
             raise SolverError(
@@ -235,12 +256,21 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
             raise SolverError(f"step size underflow at t={t!r}")
         h_try = min(h, tf - t)
         error_weights(y, fast.rtol, fast.atol, weights)
+        if speculate and (adaptive or pending is None):
+            pending, saved = [], (newton, stats, replace(stats),
+                                  newton.checkpoint(), [] if adaptive else
+                                  [a.copy() for a in y.arrays])
         try:
             if newton is None:
                 y_new = erk_step(f, t, h_try, y, fast.table, err_out=err)
             else:
                 y_new = dirk_step(f, newton, t, h_try, y, fast.table, weights,
-                                  err_out=err)
+                                  err_out=err, pending=pending)
+                if adaptive and speculate:
+                    pending += wrms_partials(err, weights)
+                    if not (norms := _settle(pending, saved, y, True)):
+                        y_new = dirk_step(f, newton, t, h_try, y, fast.table,
+                                          weights, err_out=err)
         except ConvergenceFailure as exc:
             stats.conv_failures += 1
             if not adaptive:
@@ -254,7 +284,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
             continue
         stats.steps += 1
         if adaptive:
-            error = wrms_norm(err, weights)
+            error = norms[-1] if speculate and norms else wrms_norm(err, weights)
             if not np.isfinite(error):
                 raise SolverError(f"non-finite error estimate {error} at"
                                   f" t={t!r} with h={h_try!r}")
@@ -269,7 +299,25 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
         t += h_try
         for dst, src in zip(y.arrays, y_new.arrays):
             dst[:] = src
+        if pending and not adaptive and not tf - t > tiny:
+            # the interval's last step closes its window
+            if not _settle(pending, saved, y, False):
+                t, pending, speculate = t0, None, False   # redo it all
     return y, stats
+
+
+def _settle(pending, saved, y, adaptive):
+    """Finish the window's norms in one round. Return them if every stage
+    norm passes the k = 1 test (an adaptive window's last norm is its
+    error estimate); otherwise undo the window and return None."""
+    norms = wrms_finish(y, pending)
+    if all(n <= DEFAULT_CONV_COEF for n in norms[:len(norms) - adaptive]):
+        return norms
+    newton, stats, saved_stats, cache, saved_y = saved
+    newton.restore(cache)
+    vars(stats).update(vars(saved_stats), fallbacks=saved_stats.fallbacks + 1)
+    for dst, src in zip(y.arrays, saved_y):
+        dst[...] = src
 
 
 def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,

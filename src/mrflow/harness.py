@@ -465,7 +465,8 @@ def _cmd_run(args) -> int:
           f"reduction_rounds={root['reduction_rounds']}")
     fs = root["fast_stats"]
     print(f"fast_steps={fs['steps']} accepted={fs['accepted']} "
-          f"rejected={fs['rejected']} conv_failures={fs['conv_failures']}")
+          f"rejected={fs['rejected']} conv_failures={fs['conv_failures']} "
+          f"fallbacks={fs['fallbacks']}")
     if cfg.csv_path:
         print(f"profile_csv={cfg.csv_path}")
     if cfg.snapshot_path:

@@ -27,6 +27,8 @@ import numpy as np
 
 from .ark import (ButcherTable, FastSolve, IntegrationStats, SolverError,
                   evolve)
+from .euler import EosDomainError
+from .newton import LinearSolveError
 from .profiling import Profile, Region
 from .vectors import fused_linear_combination
 
@@ -75,7 +77,9 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
              fast: FastSolve, newton=None, hooks=None,
              fast_stats: IntegrationStats = None):
     """One slow step; returns the new state, y is untouched. `fast`
-    sets how each fast interval is integrated (see ark.FastSolve)."""
+    sets how each fast interval is integrated (see ark.FastSolve). A
+    fast solve's SolverError or LinearSolveError is raised again, same
+    type and attributes, naming the slow stage."""
     z = y.copy()
     slow_rhs = [slow_f(t + coupling.c[0] * h, z)]
     forcing = y.clone_empty()
@@ -103,14 +107,21 @@ def mri_step(coupling: MRICoupling, slow_f, fast_f, t: float, h: float, y,
             try:
                 evolve(tendency, v, t_a, t_b, fast, newton=newton,
                        stats=fast_stats)
-            except SolverError as exc:
-                raise SolverError(
-                    f"fast solve failed at slow stage {i + 1}: {exc}") from exc
+            except (SolverError, LinearSolveError) as exc:
+                raise _located(exc, "fast solve failed at slow stage"
+                                    f" {i + 1}") from exc
             if hooks is not None:
                 hooks.finalize(z, forcing, v, t_b - t_a)
         if i + 1 < coupling.n_intervals:
             slow_rhs.append(slow_f(t + coupling.c[i + 1] * h, z))
     return z
+
+
+def _located(exc, where):
+    """exc's type and attributes, with where before its message."""
+    out = type(exc)(f"{where}: {exc}")
+    vars(out).update(vars(exc))
+    return out
 
 
 @dataclass
@@ -127,7 +138,8 @@ def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
     """Transient phase, then a measured phase; each phase is timed in
     its own region. The phases set the mode of `fast`: the transient
     steps adaptively, the measured phase in fixed steps of fast.h. A
-    SolverError is raised again naming the phase, the 1-based slow step
+    SolverError, LinearSolveError or EosDomainError is raised again,
+    same type and attributes, naming the phase, the 1-based slow step
     and its t."""
     if not (np.isfinite(h_slow) and h_slow > 0.0):
         raise SolverError(
@@ -147,9 +159,9 @@ def evolve_two_phase(coupling: MRICoupling, slow_f, fast_f, y,
                     y = mri_step(coupling, slow_f, fast_f, t, h_try, y,
                                  fast_cfg, newton=newton, hooks=hooks,
                                  fast_stats=fast_stats)
-            except SolverError as exc:
-                raise SolverError(f"{region.value} phase, slow step"
-                                  f" {n_slow + 1} at t={t!r}: {exc}") from exc
+            except (SolverError, LinearSolveError, EosDomainError) as exc:
+                raise _located(exc, f"{region.value} phase, slow step"
+                                    f" {n_slow + 1} at t={t!r}") from exc
             t += h_try
             n_slow += 1
     return EvolveResult(y, n_slow, fast_stats)

@@ -10,23 +10,25 @@ over the cells. A pivot swap is a masked selection (np.where) between
 two rows for the cells that pivot there; the swaps compose into one
 flat gather index per block row, so a solve gathers rhs once.
 
-The convergence norm of each update is vectors.wrms_norm, which follows
-the vector's mode flag: one global round per iteration when batched,
-one per subvector when not. Linear solves touch no communicator; the
-iteration matrix and its factorization are reused across stages and
-steps until a convergence failure or a change in the step-times-gamma
-coefficient forces a rebuild.
+The convergence norm of each update is a WRMS norm of z's length and
+mode flag: one global round per iteration when batched, one per array
+when not. That holds for unfused runs and direct calls only: a fused
+ark.evolve passes `pending`, stops each solve after its first iteration
+and checks all the norms in its own round. Linear solves touch no
+communicator; the iteration matrix and its factorization are reused
+across stages and steps until a convergence failure or a change in the
+step-times-gamma coefficient forces a rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
 from .profiling import Profile, Region
-from .vectors import ManyVector, wrms_norm
+from .vectors import wrms_finish, wrms_partials
 
 MAX_ITERS = 10
 DEFAULT_CONV_COEF = 0.01
@@ -135,13 +137,23 @@ class NewtonEngine:
         self._perm = None
         self._hg_cached = None
 
-    def solve(self, f, t: float, z, a, hg: float, weights):
+    def checkpoint(self):
+        """The cache and statistics, as restore() takes them back."""
+        return dict(vars(self), stats=replace(self.stats))
+
+    def restore(self, saved):
+        vars(self.stats).update(vars(saved["stats"]))
+        vars(self).update(saved, stats=self.stats)
+
+    def solve(self, f, t: float, z, a, hg: float, weights, pending=None):
         """Newton-iterate z in place; returns the iteration count.
 
         f(t, z) evaluates the stiff right-hand side. a is the constant
         stage data, hg the step-times-diagonal coefficient, weights the
         error weights for the convergence norm. A growing or non-finite
-        update norm stops the iteration at once.
+        update norm stops the iteration at once. Given a list pending,
+        only iteration 1 runs; it appends its norm's local partials there
+        for the caller's k = 1 test (norm <= DEFAULT_CONV_COEF).
         """
         fresh = self._jac_values is None
         if fresh:
@@ -170,8 +182,11 @@ class NewtonEngine:
             self.stats.solves += 1
             for zz, dd in zip(z.arrays, resid.arrays):
                 zz += dd
-            norm = wrms_norm(ManyVector(resid.arrays, z.global_length, z.comm,
-                                        z.batched_reductions), weights)
+            partials = wrms_partials(resid, weights)
+            if pending is not None:
+                pending += partials
+                return k
+            norm = wrms_finish(z, partials)[0]
             if not np.isfinite(norm):
                 break
             if norm_prev is not None:

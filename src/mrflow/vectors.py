@@ -6,13 +6,14 @@ integrators never see the partitioning, and carries the communicator
 its reductions run on.
 
 One flag per vector, batched_reductions, selects the mode of every
-operation. Batched (default): linear combinations accumulate in place
-in one fused pass, and a norm finalizes the partials of all subvectors
-in a single cross-task round. Unbatched: a running binary sum with a
-new temporary per term, and one round per subvector. Both modes do the
-same arithmetic left to right and combine identical per-slot partials
-in identical rank order, so the VALUES are bit-identical; only the
-temporaries and the round count differ.
+operation. Batched (default): linear combinations accumulate in place in
+one fused pass, and a WRMS norm's per-subvector partials (wrms_partials)
+are summed across tasks in a single round and finished (wrms_finish);
+one round may carry the partials of many norms. Unbatched: a running
+binary sum with a new temporary per term, and one round per subvector.
+Both modes do the same arithmetic left to right and combine identical
+per-slot partials in identical rank order, so the VALUES are
+bit-identical; only the temporaries and the round count differ.
 """
 
 from __future__ import annotations
@@ -109,32 +110,29 @@ def fused_linear_combination(coeffs, vecs, out=None):
 # ---------------------------------------------------------------------------
 # reductions
 
-def _finalize_slots(v: ManyVector, slots) -> np.ndarray:
-    """Sum per-slot partials across v's tasks.
+def wrms_partials(x: ManyVector, w: ManyVector) -> list:
+    """This task's sum of (x_i * w_i)^2 per subvector; no round."""
+    return [float(np.square(p, out=p).sum())
+            for p in map(np.multiply, x.arrays, w.arrays)]
 
-    Batched: one round carrying all slots. Unbatched: one round per
-    slot. Slot values are bit-identical either way.
-    """
-    slots = np.asarray(slots, dtype=np.float64)
-    if v.comm is None:
-        return slots
-    if v.batched_reductions:
-        return v.comm.allreduce(slots, "sum")
-    return np.array([v.comm.allreduce(s, "sum")[0] for s in slots])
+
+def wrms_finish(x: ManyVector, partials) -> list:
+    """The norms in partials, len(x.arrays) slots each, of x's global
+    length. Slots are summed across x's tasks in rank order (batched:
+    one round for all; unbatched: one per slot), then each norm's slots
+    left to right."""
+    sums = np.asarray(partials, dtype=np.float64)
+    if x.comm is not None:
+        sums = (x.comm.allreduce(sums, "sum") if x.batched_reductions
+                else np.array([x.comm.allreduce(s, "sum")[0] for s in sums]))
+    rows = np.reshape(sums, (-1, len(x.arrays)))
+    totals = np.add.accumulate(rows, axis=1)[:, -1]   # strictly in order
+    return [float(n) for n in np.sqrt(totals / x.global_length)]
 
 
 def wrms_norm(x: ManyVector, w: ManyVector) -> float:
-    """sqrt((1/N_global) * sum_i (x_i * w_i)^2).
-
-    One cross-task round in batched mode; one round per subvector
-    otherwise.
-    """
-    partials = [float(np.square(p, out=p).sum())
-                for p in map(np.multiply, x.arrays, w.arrays)]
-    total = 0.0
-    for t in _finalize_slots(x, partials):
-        total += float(t)
-    return float(np.sqrt(total / x.global_length))
+    """sqrt((1/N_global) * sum_i (x_i * w_i)^2), in wrms_finish's rounds."""
+    return wrms_finish(x, wrms_partials(x, w))[0]
 
 
 def error_weights(y: ManyVector, rtol: float, atol: float, out=None):

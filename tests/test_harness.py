@@ -414,6 +414,16 @@ def test_cli_run_smoke(tmp_path, capsys):
     assert all(np.all(np.isfinite(a)) for a in arrays)
 
 
+@pytest.mark.parametrize("config, tasks", [("seed11-reacting.ini", "1"),
+                                           ("seed11-stiff-sockets.ini", "2")])
+def test_seed11_runs_never_fall_back(config, tasks, capsys):
+    # every stage converges at its first Newton iteration, so each fused
+    # fast step or interval stands after its one round
+    ini = os.path.join(os.path.dirname(__file__), "..", "examples", config)
+    assert main(["run", "--config", ini, "--tasks", tasks]) == 0
+    assert " conv_failures=0 fallbacks=0\n" in capsys.readouterr().out
+
+
 def test_cli_run_rejects_bad_task_count(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(TINY_INI)

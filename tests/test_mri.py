@@ -10,7 +10,8 @@ from mrflow.ark import (ButcherTable, IntegrationStats, SolverError,
                         fixed_evolve, knoth_wolke_3, sdirk4)
 from mrflow.mri import (CouplingError, EvolveResult, FastSolve, MRICoupling,
                         evolve_two_phase, mri_forcing, mri_step)
-from mrflow.newton import NewtonEngine
+from mrflow.euler import EosDomainError
+from mrflow.newton import LinearSolveError, NewtonEngine
 from mrflow.profiling import Profile, Region
 from mrflow.testsuite import linear_exact, observed_order
 from mrflow.vectors import ManyVector
@@ -307,6 +308,48 @@ def test_two_phase_failure_names_phase_and_slow_step(t_split, phase):
         f"{phase} phase, slow step 2 at t=0.2: fast solve failed at slow"
         " stage 2: synthetic fault")
     assert "slow stage 2" in str(info.value.__cause__)
+
+
+def _singular_in_cell_2(t, v):
+    # I - hg*J is zero in cell 2 for hg = 2**-8, the fast steps of 2**-6
+    jac = np.zeros((3, 3, 4))
+    jac[range(3), range(3), 2] = 256.0
+    return jac
+
+
+@pytest.mark.parametrize("jacobian, message, where", [
+    (lambda t, v: np.ones((4, 9)),
+     "Jacobian has shape (4, 9), expected (3, 3, 4)", (None, None)),
+    (_singular_in_cell_2,
+     "singular Newton block in local cell 2: zero pivot for field H", (2, 0)),
+])
+def test_two_phase_names_a_linear_solve_failure_keeping_its_type(
+        jacobian, message, where):
+    eng = NewtonEngine(jacobian, ("H", "H2", "e_g"))
+    y = ManyVector([np.ones(4) for _ in range(3)])
+    with pytest.raises(LinearSolveError) as info:
+        evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs,
+                         y, 0.0, 0.0, 0.2, 0.2, FastSolve(sdirk4(), h=2**-6),
+                         newton=eng)
+    assert str(info.value) == ("fixed phase, slow step 1 at t=0.0: fast solve"
+                               f" failed at slow stage 1: {message}")
+    assert (info.value.cell, info.value.column) == where
+    assert isinstance(info.value.__cause__, LinearSolveError)
+
+
+def test_two_phase_names_an_eos_failure_keeping_its_attributes():
+    def slow_f(t, v):
+        if t >= 0.2:
+            raise EosDomainError("nonpositive internal energy -1", (2,), -1.0)
+        return _zero_rhs(t, v)
+
+    with pytest.raises(EosDomainError) as info:
+        evolve_two_phase(MRICoupling(knoth_wolke_3()), slow_f, _zero_rhs,
+                         _pair_state(1.0, 1.0), 0.0, 0.2, 0.4, 0.2,
+                         FastSolve(bogacki_shampine_32(), h=0.02))
+    assert str(info.value) == ("fixed phase, slow step 2 at t=0.2:"
+                               " nonpositive internal energy -1")
+    assert (info.value.index, info.value.value) == ((2,), -1.0)
 
 
 def test_fast_budget_exhaustion_reports_the_slow_stage(monkeypatch):

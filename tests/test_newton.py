@@ -190,8 +190,8 @@ def _ledger_worker(comm, batched):
 
 @pytest.mark.parametrize("batched", [True, False])
 def test_one_reduction_round_per_iteration(batched):
-    # the convergence norm is wrms_norm: one round per iteration when
-    # batched, one per array of the vector (2 here) when not
+    # a direct call checks each iteration's norm in its own rounds: one
+    # round when batched, one per array of the vector (2 here) when not
     for iters, rounds, _ in run_spmd(2, _ledger_worker, batched):
         assert iters == 1
         assert rounds == (1 if batched else 2)
