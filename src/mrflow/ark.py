@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .newton import DEFAULT_CONV_COEF, ConvergenceFailure
-from .vectors import (error_weights, fused_linear_combination, wrms_finish,
-                      wrms_norm, wrms_partials)
+from .vectors import (error_weights, fused_linear_combination,
+                      reduction_slots, wrms_finish, wrms_norm, wrms_partials)
 
 SAFETY = 0.99
 MAX_GROWTH = 2.0
@@ -162,7 +162,7 @@ def dirk_step(f, newton, t: float, h: float, y, table: ButcherTable,
                 raise
             # peers still expect this task's partials; a real error
             # raises again when the window is redone
-            pending += [np.nan] * len(z.arrays)
+            pending += [np.nan] * reduction_slots(z)
         k = y.clone_empty()
         fused_linear_combination([1.0, -1.0], [z, a_vec], k)
         for arr in k.arrays:
@@ -222,11 +222,12 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
     Fixed mode takes steps of fast.h, the last one truncated to hit tf,
     and a Newton convergence failure is fatal: there is no step size to
     cut. Adaptive mode starts at h0 (default FAST_START_FRACTION of the
-    cap) and runs the integral controller. It raises SolverError at the
-    first non-finite error estimate, when the step size underflows, or
-    when the call has made DEFAULT_MAX_STEPS attempts. step_log, if
-    given, receives one (t, h, error, accepted) tuple per adaptive
-    attempt.
+    cap) and runs the integral controller; a Newton failure cuts h if
+    the attempt evaluated its Jacobian, else retries h. It raises
+    SolverError at the first non-finite error estimate, when the step
+    size underflows, or when the call has made DEFAULT_MAX_STEPS
+    attempts. step_log, if given, receives one (t, h, error, accepted)
+    tuple per adaptive attempt.
     """
     if stats is None:
         stats = IntegrationStats()
@@ -256,6 +257,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
             raise SolverError(f"step size underflow at t={t!r}")
         h_try = min(h, tf - t)
         error_weights(y, fast.rtol, fast.atol, weights)
+        jac_evals = newton.stats.jac_evals if newton is not None else 0
         if speculate and (adaptive or pending is None):
             pending, saved = [], (newton, stats, replace(stats),
                                   newton.checkpoint(), [] if adaptive else
@@ -278,7 +280,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
                     f"Newton failed at t={t!r} with fixed step {h_try!r}"
                 ) from exc
             stats.steps += 1
-            if exc.jac_was_fresh:
+            if newton.stats.jac_evals > jac_evals:   # a fresh J failed
                 h = NEWTON_SHRINK * h_try
             # a stale Jacobian was already dropped; retry at the same size
             continue

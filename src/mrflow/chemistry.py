@@ -18,8 +18,8 @@ energy stays conserved.
 The reaction network itself is a two-species hydrogen-recombination
 surrogate acting on (H, H2, e_g) with mass exchanged as 2H <-> H2; the
 temperature feedback theta = e_g/e_ref makes it stiff. The fast solver
-sees only those three fields; the other twelve feel only their constant
-forcing r over a fast interval, so they move exactly, v + (tau - tau_a) r.
+sees only those three fields, as one block; the other twelve feel only
+their constant forcing r over a fast interval: v + (tau - tau_a) r.
 """
 
 from __future__ import annotations
@@ -182,9 +182,11 @@ def sync_gas_energy(state):
 
 
 class EnergyBookkeeping:
-    """Stage hooks (see module doc): prepare lifts H, H2 and e_g and
-    their forcing out of the state, which stays untouched until finalize
-    moves the other fields, writes the three back and moves the heating."""
+    """Stage hooks (see module doc): prepare lifts the H, H2 and e_g
+    block and its forcing out of the state (the fields left out count as
+    zeros in norms: the global length stays the state's), which stays
+    untouched until finalize moves the other fields, writes the block
+    back and moves the heating."""
 
     def prepare(self, state, forcing, t):
         sync_gas_energy(state)
@@ -197,24 +199,20 @@ class EnergyBookkeeping:
         return self._rho + (t - self._t) * self._r_rho
 
     def finalize(self, state, forcing, fast, d_tau):
-        rho = state.arrays[IRHO]
-        chem = state.arrays[5]
-        heating = fast.arrays[2] - (chem[..., IEG]
-                                    + d_tau * forcing.arrays[5][..., IEG])
+        rho, chem, block = state.arrays[IRHO], state.arrays[5], fast.arrays[0]
+        heating = block[-1] - (chem[..., IEG]   # e_g: the last row
+                               + d_tau * forcing.arrays[5][..., IEG])
         for v, r in zip(state.arrays, forcing.arrays):
             v += d_tau * r
-        for j, v in zip(FAST_SLOTS, fast.arrays):
-            chem[..., j] = v
+        chem[..., FAST_SLOTS] = np.moveaxis(block, 0, -1)
         state.arrays[IET] += rho * heating
         sync_gas_energy(state)
 
 
 def _lift(v):
-    """H, H2 and e_g of v, one contiguous array each; the fields left out
-    count as zeros in norms, so the global length stays v's."""
-    chem = v.arrays[5]
-    return ManyVector([np.ascontiguousarray(chem[..., j]) for j in FAST_SLOTS],
-                      v.global_length, v.comm, v.batched_reductions)
+    """v's H, H2 and e_g as one contiguous block."""
+    block = np.stack([v.arrays[5][..., j] for j in FAST_SLOTS])
+    return ManyVector([block], v.global_length, v.comm, v.batched_reductions)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +243,22 @@ class SurrogateNetwork:
         h, h2, eg = y
         return self.k1 * h * h - self.k2 * h2 * (eg / self.e_ref)
 
-    def rhs(self, rho, y) -> list:
-        """Time derivatives of y as three new arrays the caller owns."""
-        net = self.rates(y)
-        return [-2.0 * net, net, self.q * net / rho]
+    def rhs(self, rho, y) -> np.ndarray:
+        """Time derivatives of y as one new (3,) + shape array."""
+        return self._per_rate(rho, self.rates(y))
 
     def jacobian_values(self, rho, y) -> np.ndarray:
-        """The (3, 3) + shape block over FIELDS, [r][c] = d f_r / d y_c."""
+        """The (3, 3) + shape block over FIELDS, [r][c] = d f_r / d y_c:
+        rhs's weights times the gradient of the rate."""
         h, h2, eg = y
-        theta = eg / self.e_ref
-        k1, k2, q = self.k1, self.k2, self.q
-        d_f_h = 2.0 * k1 * h            # d(k1 H^2)/dH
-        d_b_h2 = k2 * theta             # d(k2 H2 theta)/dH2
-        d_b_eg = k2 * h2 / self.e_ref   # d(k2 H2 theta)/de_g
-        entries = (
-            -2.0 * d_f_h, 2.0 * d_b_h2, 2.0 * d_b_eg,
-            d_f_h, -d_b_h2, -d_b_eg,
-            q * d_f_h / rho, -q * d_b_h2 / rho, -q * d_b_eg / rho,
-        )
-        shape = np.shape(h)
-        return np.stack([np.broadcast_to(e, shape) for e in entries]
-                        ).reshape((3, 3) + shape)
+        grad = np.broadcast_arrays(2.0 * self.k1 * h,             # d/dH
+                                   -(self.k2 * (eg / self.e_ref)),  # d/dH2
+                                   -(self.k2 * h2 / self.e_ref))    # d/de_g
+        return self._per_rate(rho, np.stack(grad))
+
+    def _per_rate(self, rho, x):
+        """(-2 x, x, q x / rho) along a new leading axis: what each field
+        gets from x, a rate or its derivative."""
+        out = np.multiply.outer((-2.0, 1.0, self.q), x)
+        out[2] /= rho
+        return out

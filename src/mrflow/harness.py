@@ -255,11 +255,11 @@ def reaction_problem(network: SurrogateNetwork, profile: Profile):
 
     def fast_f(t, v):
         with profile.region(Region.FAST_RHS):
-            return ManyVector(network.rhs(hooks.density(t), v.arrays),
+            return ManyVector([network.rhs(hooks.density(t), v.arrays[0])],
                               v.global_length, v.comm, v.batched_reductions)
 
     newton = NewtonEngine(
-        lambda t, v: network.jacobian_values(hooks.density(t), v.arrays),
+        lambda t, v: network.jacobian_values(hooks.density(t), v.arrays[0]),
         network.FIELDS, profile=profile)
     return fast_f, newton, hooks
 

@@ -1,22 +1,21 @@
 """Modified Newton iteration for the implicit fast stages.
 
-The reaction network couples unknowns only within a cell, so the
-Jacobian is block diagonal: one dense m x m block per cell, one row and
-column per array of the vector (3 x 3 for the surrogate network on H,
-H2 and e_g). The blocks of I - hg*J are factored by partially pivoted
-LU batched over cells. They are stored cell-innermost, (m, m, cells),
-and right-hand sides (m, cells), so each entry is one contiguous row
-over the cells. A pivot swap is a masked selection (np.where) between
-two rows for the cells that pivot there; the swaps compose into one
-flat gather index per block row, so a solve gathers rhs once.
+The unknowns z are one (m,) + cell shape array, one field per row. The
+reaction network couples them only within a cell, so the Jacobian is
+block diagonal: one dense m x m block per cell (3 x 3 for the surrogate
+network on H, H2 and e_g). The blocks of I - hg*J are stored
+cell-innermost, (m, m, cells), factored by partially pivoted LU batched
+over cells and solved on z's (m, cells) view, so each entry is one
+contiguous row over the cells. A pivot swap is a masked selection
+(np.where) between two rows for the cells that pivot there; the swaps
+compose into one flat gather index, so a solve gathers rhs once.
 
 The convergence norm of each update is a WRMS norm of z's length and
-mode flag: one global round per iteration when batched, one per array
-when not. That holds for unfused runs and direct calls only: a fused
-ark.evolve passes `pending`, stops each solve after its first iteration
-and checks all the norms in its own round. Linear solves touch no
-communicator; the iteration matrix and its factorization are reused
-across stages and steps until a convergence failure or a change in the
+mode flag: one round per iteration when batched, one per field when
+not. A fused ark.evolve instead passes `pending`, stops each solve
+after its first iteration and checks all the norms in its own round.
+Linear solves touch no communicator; the factored iteration matrix is
+reused across stages and steps until a convergence failure or a new
 step-times-gamma coefficient forces a rebuild.
 """
 
@@ -35,7 +34,7 @@ DEFAULT_CONV_COEF = 0.01
 
 
 class LinearSolveError(RuntimeError):
-    """A singular block at (cell, column), or a Jacobian of the wrong shape."""
+    """A singular block at (cell, column), or an input of the wrong shape."""
 
     def __init__(self, message: str, cell: int | None = None,
                  column: int | None = None):
@@ -45,8 +44,8 @@ class LinearSolveError(RuntimeError):
 
 
 class ConvergenceFailure(Exception):
-    """Newton did not converge; jac_was_fresh tells the caller whether a
-    Jacobian refresh is worth trying before cutting the step."""
+    """Newton did not converge; jac_was_fresh tells whether this solve
+    evaluated the Jacobian it failed with."""
 
     def __init__(self, message: str, jac_was_fresh: bool):
         super().__init__(message)
@@ -110,14 +109,14 @@ class NewtonStats:
 class NewtonEngine:
     """Solves the stage equation z - hg*f(t, z) - a = 0.
 
-    The vector has m = len(names) arrays, one field each; names[r]
-    names array r's field in errors. jacobian(t, z) must return the
-    (m, m) + cell shape blocks, entry [r][c] = d f_r / d z_c, or the
-    solve raises LinearSolveError. The iteration matrix I - hg*J is
-    kept (with its factorization) between calls and rebuilt only when
-    hg changes or reset()/a convergence failure invalidates it. The
-    convergence norm takes the length and the communicator of z. The
-    iteration converges at rate * norm <= DEFAULT_CONV_COEF.
+    z has m = len(names) rows, names[r] naming row r's field in errors,
+    and f(t, z) returns a vector of its layout; jacobian(t, z) returns
+    the (m, m) + cell shape blocks, [r][c] = d f_r / d z_c. A z or a
+    Jacobian of another shape raises LinearSolveError. I - hg*J and its
+    factorization are kept between calls until hg changes or reset()/a
+    convergence failure drops them. The convergence norm takes z's
+    length and communicator; the iteration converges at
+    rate * norm <= DEFAULT_CONV_COEF.
     """
 
     def __init__(self, jacobian, names, profile=None):
@@ -125,17 +124,11 @@ class NewtonEngine:
         self.names = tuple(names)
         self.profile = profile if profile is not None else Profile()
         self.stats = NewtonStats()
-        self._jac_values = None
-        self._lu = None
-        self._perm = None
-        self._hg_cached = None
+        self._jac_values = self._lu = self._perm = self._hg_cached = None
 
     def reset(self):
         """Drop the cached Jacobian and factorization."""
-        self._jac_values = None
-        self._lu = None
-        self._perm = None
-        self._hg_cached = None
+        self._jac_values = self._lu = self._perm = self._hg_cached = None
 
     def checkpoint(self):
         """The cache and statistics, as restore() takes them back."""
@@ -155,11 +148,16 @@ class NewtonEngine:
         only iteration 1 runs; it appends its norm's local partials there
         for the caller's k = 1 test (norm <= DEFAULT_CONV_COEF).
         """
+        m, zz = len(self.names), z.arrays[0]
+        if len(z.arrays) != 1 or zz.shape[:1] != (m,):
+            raise LinearSolveError(
+                f"z has shape {', '.join(str(x.shape) for x in z.arrays)},"
+                f" expected ({m},) + cell shape")
         fresh = self._jac_values is None
         if fresh:
             with self.profile.region(Region.FAST_JAC):
                 jac = self.jacobian(t, z)
-            want = (len(self.names),) * 2 + z.arrays[0].shape
+            want = (m, m) + zz.shape[1:]
             if np.shape(jac) != want:
                 raise LinearSolveError(
                     f"Jacobian has shape {np.shape(jac)}, expected {want}")
@@ -173,15 +171,16 @@ class NewtonEngine:
         for k in range(1, MAX_ITERS + 1):
             self.stats.iterations += 1
             resid = f(t, z)
-            for g, zz, aa in zip(resid.arrays, z.arrays, a.arrays):
-                g *= -hg
-                g += zz
-                g -= aa
-            with self.profile.region(Region.LIN_SOLVE):
-                self._solve_in_place(resid)
+            g = resid.arrays[0]
+            g *= -hg
+            g += zz
+            g -= a.arrays[0]
+            with self.profile.region(Region.LIN_SOLVE):   # g <- -A^-1 g
+                rhs = np.negative(g.reshape(m, -1))
+                g[...] = block_lu_solve(self._lu, self._perm, rhs
+                                        ).reshape(g.shape)
             self.stats.solves += 1
-            for zz, dd in zip(z.arrays, resid.arrays):
-                zz += dd
+            zz += g
             partials = wrms_partials(resid, weights)
             if pending is not None:
                 pending += partials
@@ -201,13 +200,6 @@ class NewtonEngine:
         raise ConvergenceFailure(
             f"no convergence after {k} iterations (update norm {norm:.3g})",
             fresh)
-
-    def _solve_in_place(self, v):
-        """v <- (I - hg*J)^-1 (-v)."""
-        rhs = np.stack([x.reshape(-1) for x in v.arrays])
-        np.negative(rhs, out=rhs)
-        for x, row in zip(v.arrays, block_lu_solve(self._lu, self._perm, rhs)):
-            x[...] = row.reshape(x.shape)
 
     def _factor(self, hg: float):
         self._lu = None

@@ -1,19 +1,21 @@
 """State vectors for the solver stack.
 
 A ManyVector groups several subvectors (here: five distributed fluid
-fields plus one task-local chemistry block) behind one interface so
+fields plus one task-local chemistry block, or the fast problem's one
+block of shape (fields,) + cell shape) behind one interface so
 integrators never see the partitioning, and carries the communicator
-its reductions run on.
+its reductions run on. Norms reduce one slot per field: per row of a
+block, else per subvector (reduction_slots).
 
 One flag per vector, batched_reductions, selects the mode of every
 operation. Batched (default): linear combinations accumulate in place in
-one fused pass, and a WRMS norm's per-subvector partials (wrms_partials)
-are summed across tasks in a single round and finished (wrms_finish);
-one round may carry the partials of many norms. Unbatched: a running
-binary sum with a new temporary per term, and one round per subvector.
-Both modes do the same arithmetic left to right and combine identical
-per-slot partials in identical rank order, so the VALUES are
-bit-identical; only the temporaries and the round count differ.
+one fused pass, and a WRMS norm's per-slot partials (wrms_partials) are
+summed across tasks in a single round and finished (wrms_finish); one
+round may carry the partials of many norms. Unbatched: a running binary
+sum with a new temporary per term, and one round per slot. Both modes
+do the same arithmetic left to right and combine identical per-slot
+partials in identical rank order, so the VALUES are bit-identical; only
+the temporaries and the round count differ.
 """
 
 from __future__ import annotations
@@ -110,22 +112,29 @@ def fused_linear_combination(coeffs, vecs, out=None):
 # ---------------------------------------------------------------------------
 # reductions
 
+def reduction_slots(x: ManyVector) -> int:
+    """The rows of a block (one array of ndim > 1), else the arrays."""
+    first, *rest = x.arrays
+    return first.shape[0] if not rest and first.ndim > 1 else len(x.arrays)
+
+
 def wrms_partials(x: ManyVector, w: ManyVector) -> list:
-    """This task's sum of (x_i * w_i)^2 per subvector; no round."""
-    return [float(np.square(p, out=p).sum())
-            for p in map(np.multiply, x.arrays, w.arrays)]
+    """This task's sum of (x_i * w_i)^2 per slot (a row sum); no round."""
+    rows = reduction_slots(x) // len(x.arrays)
+    return [float(s) for p in map(np.multiply, x.arrays, w.arrays)
+            for s in np.square(p, out=p).reshape(rows, -1).sum(axis=1)]
 
 
 def wrms_finish(x: ManyVector, partials) -> list:
-    """The norms in partials, len(x.arrays) slots each, of x's global
-    length. Slots are summed across x's tasks in rank order (batched:
-    one round for all; unbatched: one per slot), then each norm's slots
-    left to right."""
+    """The norms in partials, reduction_slots(x) slots each, of x's
+    global length. Slots are summed across x's tasks in rank order
+    (batched: one round for all; unbatched: one per slot), then each
+    norm's slots left to right."""
     sums = np.asarray(partials, dtype=np.float64)
     if x.comm is not None:
         sums = (x.comm.allreduce(sums, "sum") if x.batched_reductions
                 else np.array([x.comm.allreduce(s, "sum")[0] for s in sums]))
-    rows = np.reshape(sums, (-1, len(x.arrays)))
+    rows = np.reshape(sums, (-1, reduction_slots(x)))
     totals = np.add.accumulate(rows, axis=1)[:, -1]   # strictly in order
     return [float(n) for n in np.sqrt(totals / x.global_length)]
 

@@ -1,7 +1,7 @@
 """The surrogate network in one cell as a small dense ODE, for checks
 against scipy references and finite differences; the network on its
-three fields and on the fluid + chemistry state, and a scalar Newton
-engine, for solver tests."""
+three-field block and on the fluid + chemistry state as one block, and
+a scalar Newton engine, for solver tests."""
 
 import numpy as np
 
@@ -25,48 +25,55 @@ def single_cell_ode(net, rho: float = 1.0):
 
 
 def network_on_fields(net, rho: float = 1.0):
-    """(f, newton) of `net` on a vector of (H, H2, e_g) at density rho,
-    as the run's fast problem is posed."""
+    """(f, newton) of `net` on a (H, H2, e_g) block at density rho, as
+    the run's fast problem is posed."""
     def f(t, v):
-        return ManyVector(net.rhs(rho, v.arrays), v.global_length, v.comm,
-                          v.batched_reductions)
+        return ManyVector([net.rhs(rho, v.arrays[0])], v.global_length,
+                          v.comm, v.batched_reductions)
 
-    newton = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays),
+    newton = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays[0]),
                           net.FIELDS)
     return f, newton
 
 
 def one_cell(values, global_length=None):
-    """A vector of one cell, one array per field."""
-    return ManyVector([np.full((1, 1, 1), float(x)) for x in values],
-                      global_length)
+    """A block of one cell, one row per field."""
+    return ManyVector([np.reshape(np.asarray(values, dtype=float),
+                                  (-1, 1, 1, 1))], global_length)
 
 
-def one_field_views(v):
-    """The 15 fields of a fluid + chemistry ManyVector as one view each."""
-    chem = v.arrays[5]
-    return ManyVector(v.arrays[:5] + [chem[..., j]
-                                      for j in range(chem.shape[-1])],
-                      v.global_length, v.comm, v.batched_reductions)
+def full_state_block(v):
+    """The 15 fields of a fluid + chemistry ManyVector as one block."""
+    block = np.concatenate([np.stack(v.arrays[:5]),
+                            np.moveaxis(v.arrays[5], -1, 0)])
+    return ManyVector([block], v.global_length, v.comm, v.batched_reductions)
+
+
+def store_full_state_block(state, v):
+    """Write a full_state_block v back into the fluid + chemistry state."""
+    block = v.arrays[0]
+    for a, row in zip(state.arrays[:5], block):
+        a[...] = row
+    state.arrays[5][...] = np.moveaxis(block[5:], 0, -1)
 
 
 def network_on_full_state(net):
-    """(f, jacobian, names) of `net` on the one_field_views of a fluid +
+    """(f, jacobian, names) of `net` on the full_state_block of a fluid +
     chemistry state: zero rows but for H, H2 and e_g, where the network
-    acts at the density the vector holds. The density is an unknown
+    acts at the density the block holds. The density is an unknown
     here, so the dense 15 x 15 Jacobian has a density column."""
     rows = [5 + j for j in FAST_SLOTS]
 
     def f(t, v):
+        block = v.arrays[0]
         out = v.clone_empty().fill(0.0)
-        dydt = net.rhs(v.arrays[IRHO], [v.arrays[r] for r in rows])
-        for r, d in zip(rows, dydt):
-            out.arrays[r][...] = d
+        out.arrays[0][rows] = net.rhs(block[IRHO], block[rows])
         return out
 
     def jacobian(t, v):
-        rho = v.arrays[IRHO]
-        y = [v.arrays[r] for r in rows]
+        block = v.arrays[0]
+        rho = block[IRHO]
+        y = block[rows]
         jac = np.zeros((len(STATE_FIELDS),) * 2 + rho.shape)
         jac[np.ix_(rows, rows)] = net.jacobian_values(rho, y)
         jac[5 + IEG, IRHO] = -net.q * net.rates(y) / (rho * rho)
@@ -76,6 +83,6 @@ def network_on_full_state(net):
 
 
 def scalar_newton(dfdy, engine=NewtonEngine):
-    """`engine` on a 1-array vector whose Jacobian is dfdy(t) in every cell."""
-    return engine(lambda t, v: np.full((1, 1) + v.arrays[0].shape, dfdy(t)),
+    """`engine` on a one-row block whose Jacobian is dfdy(t) in every cell."""
+    return engine(lambda t, v: np.full((1,) + v.arrays[0].shape, dfdy(t)),
                   ("y",))

@@ -230,7 +230,7 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
                             2.0, h, table, newton=scalar_newton(np.cos),
                             rtol=1e-10, atol=1e-13)
         hs.append(h)
-        errs.append(abs(y.arrays[0][0, 0, 0] - exact))
+        errs.append(abs(y.arrays[0][0, 0, 0, 0] - exact))
     order = observed_order(hs, errs)
     order_ok = abs(order - table.order) <= 0.3
 
@@ -251,7 +251,7 @@ def test_criterion_05_dirk_order_tolerances_and_controller():
     f_ref, j_ref = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(f_ref, [1.0, 0.0, 1.0], (0.0, h_slow), jac=j_ref,
                         stiff=True)
-    got = np.array([a[0, 0, 0] for a in y.arrays])
+    got = y.arrays[0][:, 0, 0, 0]
     w = 1.0 / (rtol * np.abs(ref) + atol)
     wrms = float(np.sqrt(np.mean(((got - ref) * w) ** 2)))
     wrms_ok = wrms <= 5.0

@@ -482,7 +482,7 @@ def test_adaptive_surrogate_network_meets_tolerances():
 
     fr, jr = single_cell_ode(net, rho=1.0)
     ref = reference_ivp(fr, [1.0, 0.0, 1.0], (0.0, 0.1), jac=jr, stiff=True)
-    got = np.array([a[0, 0, 0] for a in y.arrays])
+    got = y.arrays[0][:, 0, 0, 0]
     w = 1.0 / (rtol * np.abs(ref) + atol)
     wrms = np.sqrt(np.mean(((got - ref) * w) ** 2))
     assert wrms <= 5.0

@@ -18,7 +18,7 @@ from mrflow.chemistry import (FAST_SLOTS, EnergyBookkeeping, IE, IEG, IH, IH2,
 from mrflow.mesh import UniformGrid
 from mrflow.vectors import ManyVector
 
-from cell_ode import network_on_full_state, one_field_views, single_cell_ode
+from cell_ode import full_state_block, network_on_full_state, single_cell_ode
 
 UNITS = UnitSystem()
 GRID = UniformGrid((16, 16, 16), ((0.0, 1.0),) * 3)
@@ -206,10 +206,10 @@ def test_energy_bookkeeping_moves_heating_into_fluid():
     forcing.arrays[5][..., IEG] = 0.5   # slow tendency of e_g
     hooks = EnergyBookkeeping()
     fast, fast_forcing = hooks.prepare(state, forcing, 0.0)
-    assert np.all(fast.arrays[2] == 2.375)
-    assert np.all(fast_forcing.arrays[2] == 0.5)
+    assert np.all(fast.arrays[0][2] == 2.375)
+    assert np.all(fast_forcing.arrays[0][2] == 0.5)
     # fast solve: e_g picks up forcing (0.5 * 0.1) plus 0.02 of reaction heat
-    fast.arrays[2] += 0.05 + 0.02
+    fast.arrays[0][2] += 0.05 + 0.02
     hooks.finalize(state, forcing, fast, 0.1)
     np.testing.assert_allclose(state.arrays[4], 5.0 + 2.0 * 0.02, rtol=1e-14)
     np.testing.assert_allclose(state.arrays[5][..., IEG],
@@ -244,9 +244,10 @@ def test_bookkeeping_lifts_contiguous_fast_fields_and_their_forcing():
     assert SurrogateNetwork.FIELDS == ("H", "H2", "e_g")
     for v, src in ((fast, state), (fast_forcing, forcing)):
         assert v.global_length == src.global_length
-        assert all(a.flags.c_contiguous and a.shape == (3, 3, 3)
-                   for a in v.arrays)
-        for a, j in zip(v.arrays, (IH, IH2, IEG)):
+        assert len(v.arrays) == 1
+        block = v.arrays[0]
+        assert block.flags.c_contiguous and block.shape == (3, 3, 3, 3)
+        for a, j in zip(block, (IH, IH2, IEG)):
             np.testing.assert_array_equal(a, src.arrays[5][..., j])
     # the density moves on its forcing line over the interval
     np.testing.assert_array_equal(hooks.density(0.5), state.arrays[0])
@@ -262,11 +263,11 @@ def test_passive_fields_end_at_their_exact_update():
     hooks = EnergyBookkeeping()
     fast, fast_forcing = hooks.prepare(state, forcing, 0.0)
     before = state.copy()
-    eg_entry = fast.arrays[2].copy()
+    eg_entry = fast.arrays[0][2].copy()
     d_tau = 1e-3
 
     def tendency(t, v):
-        out = ManyVector(net.rhs(hooks.density(t), v.arrays))
+        out = ManyVector([net.rhs(hooks.density(t), v.arrays[0])])
         for o, r in zip(out.arrays, fast_forcing.arrays):
             o += r
         return out
@@ -279,10 +280,11 @@ def test_passive_fields_end_at_their_exact_update():
     others = [j for j in range(N_SPECIES) if j not in FAST_SLOTS]
     np.testing.assert_array_equal(state.arrays[5][..., others],
                                   want[5][..., others])
-    heating = fast.arrays[2] - (eg_entry + d_tau * forcing.arrays[5][..., IEG])
+    heating = fast.arrays[0][2] - (eg_entry
+                                   + d_tau * forcing.arrays[5][..., IEG])
     np.testing.assert_array_equal(state.arrays[4],
                                   want[4] + want[0] * heating)
-    for a, j in zip(fast.arrays[:2], (IH, IH2)):
+    for a, j in zip(fast.arrays[0][:2], (IH, IH2)):
         np.testing.assert_array_equal(state.arrays[5][..., j], a)
 
 
@@ -347,13 +349,14 @@ def test_jacobian_density_column():
     state = _fluid_state()
     state.arrays[0][...] = 1.7
     state.arrays[5][..., [IH, IH2, IEG]] = (1.1, 0.4, 0.9)
-    d_rho = jacobian(0.0, one_field_views(state))[5 + IEG, 0][0, 0, 0]
+    d_rho = jacobian(0.0, full_state_block(state))[5 + IEG, 0][0, 0, 0]
     h = 1e-7
     d_fd = []
     for sign in (1.0, -1.0):
         shifted = state.copy()
         shifted.arrays[0][...] += sign * h
-        d_fd.append(f(0.0, one_field_views(shifted)).arrays[5 + IEG][0, 0, 0])
+        d_fd.append(f(0.0, full_state_block(shifted)).arrays[0][5 + IEG,
+                                                                0, 0, 0])
     assert d_rho == pytest.approx((d_fd[0] - d_fd[1]) / (2 * h), rel=1e-7)
 
 

@@ -31,7 +31,8 @@ from mrflow.testsuite import ConservationMonitor
 from mrflow.transport import run_spmd
 from mrflow.vectors import read_snapshot
 
-from cell_ode import network_on_full_state, one_field_views
+from cell_ode import (full_state_block, network_on_full_state,
+                      store_full_state_block)
 
 TINY_INI = """\
 [grid]
@@ -527,6 +528,19 @@ def test_cli_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "mrflow: solver error: step size underflow\n"
 
 
+def test_cli_fast_state_of_the_wrong_shape_exits_3(tmp_path, monkeypatch,
+                                                   capsys):
+    # an engine for two fields given the three-row block the hooks lift
+    monkeypatch.setattr(SurrogateNetwork, "FIELDS", ("H", "H2"))
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    assert main(["run", "--config", str(ini)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mrflow: solver error: transient phase, slow step 1")
+    assert err.endswith(": z has shape (3, 8, 8, 8), expected (2,) + cell"
+                        " shape\n")
+
+
 def test_cli_report_missing_input_is_io_error(tmp_path, capsys):
     assert main(["report", "--inputs", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out.csv"),
@@ -599,14 +613,16 @@ def test_worker_rejects_a_task_count_other_than_the_group_size(given, size):
 
 class _WholeStateBookkeeping:
     """The reference hooks: the fast solver gets all fifteen fields, as
-    views of the state, and only the gas energy is reconciled around it."""
+    one block written back into the state at the end, and only the gas
+    energy is reconciled around it."""
 
     def prepare(self, state, forcing, t):
         sync_gas_energy(state)
         self.eg_entry = state.arrays[5][..., IEG].copy()
-        return one_field_views(state), one_field_views(forcing)
+        return full_state_block(state), full_state_block(forcing)
 
     def finalize(self, state, forcing, fast, d_tau):
+        store_full_state_block(state, fast)
         r_eg = forcing.arrays[5][..., IEG]
         heating = state.arrays[5][..., IEG] - (self.eg_entry + d_tau * r_eg)
         state.arrays[4] += state.arrays[0] * heating

@@ -326,7 +326,7 @@ def _singular_in_cell_2(t, v):
 def test_two_phase_names_a_linear_solve_failure_keeping_its_type(
         jacobian, message, where):
     eng = NewtonEngine(jacobian, ("H", "H2", "e_g"))
-    y = ManyVector([np.ones(4) for _ in range(3)])
+    y = ManyVector([np.ones((3, 4))])
     with pytest.raises(LinearSolveError) as info:
         evolve_two_phase(MRICoupling(knoth_wolke_3()), _zero_rhs, _zero_rhs,
                          y, 0.0, 0.0, 0.2, 0.2, FastSolve(sdirk4(), h=2**-6),

@@ -135,9 +135,9 @@ def test_block_lu_mixed_pivoting_across_cells():
 
 
 def _vector(shape, m, comm=None, batched=True):
-    """m zero arrays of the given cell shape, one field each."""
+    """A zero block of m fields on the given cell shape."""
     size = comm.size if comm is not None else 1
-    return ManyVector([np.zeros(shape) for _ in range(m)],
+    return ManyVector([np.zeros((m,) + shape)],
                       global_length=int(np.prod(shape)) * m * size, comm=comm,
                       batched_reductions=batched)
 
@@ -147,20 +147,20 @@ LIN_JAC = np.array([[-2.0, 0.0], [1.0, -3.0]])
 
 
 def _linear_f(t, v):
-    x, y = v.arrays
-    return ManyVector([-2.0 * x, x - 3.0 * y], v.global_length, v.comm,
-                      v.batched_reductions)
+    x, y = v.arrays[0]
+    return ManyVector([np.stack([-2.0 * x, x - 3.0 * y])], v.global_length,
+                      v.comm, v.batched_reductions)
 
 
 def _linear_jac(t, v):
-    return np.multiply.outer(LIN_JAC, np.ones(v.arrays[0].shape))
+    return np.multiply.outer(LIN_JAC, np.ones(v.arrays[0].shape[1:]))
 
 
 def _linear_setup(comm=None, batched=True, hg=1e-8):
     shape = (4, 2, 2)
     z = _vector(shape, 2, comm, batched)
     rng = np.random.default_rng(77)
-    for x in z.arrays:
+    for x in z.arrays[0]:
         x[...] = rng.uniform(0.5, 2.0, shape)
     a = z.copy()
     weights = error_weights(z, 1e-5, 1e-9)
@@ -175,7 +175,7 @@ def test_linear_problem_converges_in_one_iteration():
     assert eng.stats.iterations == 1
     # stage equation z - hg f(z) - a = 0 holds to roundoff
     f = _linear_f(0.0, z)
-    for zz, ff, aa in zip(z.arrays, f.arrays, a.arrays):
+    for zz, ff, aa in zip(z.arrays[0], f.arrays[0], a.arrays[0]):
         assert np.abs(zz - hg * ff - aa).max() <= 1e-15
 
 
@@ -191,7 +191,7 @@ def _ledger_worker(comm, batched):
 @pytest.mark.parametrize("batched", [True, False])
 def test_one_reduction_round_per_iteration(batched):
     # a direct call checks each iteration's norm in its own rounds: one
-    # round when batched, one per array of the vector (2 here) when not
+    # round when batched, one per field of the block (2 here) when not
     for iters, rounds, _ in run_spmd(2, _ledger_worker, batched):
         assert iters == 1
         assert rounds == (1 if batched else 2)
@@ -213,7 +213,7 @@ def _one_update(jac, hg, seed=21):
     rng = np.random.default_rng(seed)
     z = _vector(shape, m)
     a, forcing = z.copy(), z.copy()
-    for x in a.arrays + forcing.arrays:
+    for x in [*a.arrays[0], *forcing.arrays[0]]:
         x[...] = rng.standard_normal(x.shape)
     eng = NewtonEngine(lambda t, v: jac, [f"z{r}" for r in range(m)])
     with pytest.MonkeyPatch.context() as mp:
@@ -222,7 +222,7 @@ def _one_update(jac, hg, seed=21):
                   error_weights(a, 1e-5, 1e-9))
 
     def rows(v):
-        return np.stack([x.reshape(-1) for x in v.arrays])
+        return v.arrays[0].reshape(m, -1)
 
     return rows(z), -hg * rows(forcing) - rows(a)
 
@@ -262,13 +262,14 @@ def _network_setup(hg):
     shape = (2, 2, 1)
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.5, 2.0, shape)
-    z = ManyVector([rng.uniform(0.5, 1.5, shape), rng.uniform(0.1, 0.5, shape),
-                    rng.uniform(0.5, 1.5, shape)])
+    z = ManyVector([np.stack([rng.uniform(0.5, 1.5, shape),
+                              rng.uniform(0.1, 0.5, shape),
+                              rng.uniform(0.5, 1.5, shape)])])
 
     def f(t, v):
-        return ManyVector(net.rhs(rho, v.arrays))
+        return ManyVector([net.rhs(rho, v.arrays[0])])
 
-    eng = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays),
+    eng = NewtonEngine(lambda t, v: net.jacobian_values(rho, v.arrays[0]),
                        net.FIELDS)
     a = z.copy()
     weights = error_weights(z, 1e-8, 1e-12)
@@ -285,7 +286,7 @@ def test_singular_reduced_block_names_a_network_field(diagonal, field, column):
     vals = np.zeros((3, 3, 2, 2, 1))
     vals[range(3), range(3), 0, 1, 0] = diagonal
     eng.jacobian = lambda t, v: vals
-    z = ManyVector([np.ones((2, 2, 1)) for _ in range(3)])
+    z = ManyVector([np.ones((3, 2, 2, 1))])
     with pytest.raises(LinearSolveError,
                        match=rf"local cell 1: zero pivot for field {field}$"
                        ) as info:
@@ -323,7 +324,7 @@ def test_newton_nonlinear_converges_and_satisfies_stage_equation():
     iters = eng.solve(f, 0.0, z, a, hg, weights)
     assert 1 <= iters <= 10
     # converged to ~0.01 WRMS units at rtol=1e-8: residual O(1e-9) absolute
-    for zz, ff, aa in zip(z.arrays, f(0.0, z).arrays, a.arrays):
+    for zz, ff, aa in zip(z.arrays[0], f(0.0, z).arrays[0], a.arrays[0]):
         assert np.abs(zz - hg * ff - aa).max() <= 5e-9
 
 
@@ -364,7 +365,7 @@ def test_norm_counts_the_state_length_not_the_rhs_length():
     # off by sqrt(15) would take one more iteration.
     results = []
     for keep in (False, True):
-        z = ManyVector([np.linspace(1.0, 2.0, 4)], global_length=15 * 4)
+        z = ManyVector([np.linspace(1.0, 2.0, 4)[None]], global_length=15 * 4)
         a = z.copy()
         eng = NewtonEngine(lambda t, v: np.full((1, 1, 4), -1.7), ("y",))
 
@@ -389,3 +390,19 @@ def test_jacobian_of_the_wrong_shape_is_rejected():
         eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 0.1,
                   error_weights(z, 1e-5, 1e-9))
     assert eng._jac_values is None
+
+
+@pytest.mark.parametrize("arrays, shapes", [
+    ([np.ones((2, 4))], r"\(2, 4\)"),
+    ([np.ones(4) for _ in range(3)], r"\(4,\), \(4,\), \(4,\)"),
+], ids=["two-rows", "one-array-per-field"])
+def test_unknowns_of_the_wrong_shape_are_rejected(arrays, shapes):
+    # z must be one block with one row per field: 3 here
+    z = ManyVector(arrays)
+    eng = NewtonEngine(lambda t, v: np.ones((3, 3, 4)), ("H", "H2", "e_g"))
+    with pytest.raises(LinearSolveError,
+                       match=rf"^z has shape {shapes}, expected \(3,\)"
+                             r" \+ cell shape$"):
+        eng.solve(lambda t, v: v.copy(), 0.0, z, z.copy(), 0.1,
+                  error_weights(z, 1e-5, 1e-9))
+    assert eng.stats.jac_evals == eng.stats.iterations == 0

@@ -12,7 +12,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from mrflow import ark
 from mrflow.ark import FastSolve, IntegrationStats, evolve, sdirk4
 from mrflow.newton import NewtonEngine
 from mrflow.transport import run_spmd, run_spmd_sockets
@@ -46,7 +45,7 @@ def _run(comm, case, fused, seen):
     lam = np.multiply.outer(LAM, 1.0 + 0.25 * np.arange(3) + 0.5 * comm.rank)
 
     def f(t, v):
-        y0, y1 = v.arrays
+        y0, y1 = v.arrays[0]
         key = (t, y0.tobytes(), y1.tobytes())
         if not fused:
             seen.add(key)
@@ -56,14 +55,15 @@ def _run(comm, case, fused, seen):
         out = [-lam[0] * (y0 - target), -lam[1] * (y1 - y0)]
         if fault == "nan" and T_JUMP <= t < T_JUMP + 0.05:
             out[0] = out[0] * np.nan
-        return ManyVector(out, v.global_length, v.comm, v.batched_reductions)
+        return ManyVector([np.stack(out)], v.global_length, v.comm,
+                          v.batched_reductions)
 
     def jacobian(t, v):
         jac = np.zeros((2, 2, 3))
         jac[0, 0], jac[1, 0], jac[1, 1] = -lam[0], lam[1], -lam[1]
         return BETA * jac
 
-    y = ManyVector([np.ones(3), np.ones(3)], 6 * comm.size, comm, fused)
+    y = ManyVector([np.ones((2, 3))], 6 * comm.size, comm, fused)
     newton = NewtonEngine(jacobian, ("y0", "y1"))
     stats = IntegrationStats()
     fast = FastSolve(sdirk4(), mode, 0.05 if mode == "fixed" else 0.2,
@@ -85,18 +85,22 @@ def _compare(comm, case):
 
 @pytest.mark.parametrize("runner", [run_spmd, run_spmd_sockets])
 @pytest.mark.parametrize("case", [c for c in CASES if "steady" not in c])
-def test_fallback_ends_as_the_unfused_run(case, runner, monkeypatch):
-    if "adaptive-nan" in case:
-        # the NaN stage is never the attempt's first, so each retry keeps
-        # h (a stale-Jacobian failure) until the budget runs out
-        monkeypatch.setattr(ark, "DEFAULT_MAX_STEPS", 40)
+def test_fallback_ends_as_the_unfused_run(case, runner):
     for oracle, fused in runner(2, _compare, case):
         assert oracle["stats"].pop("fallbacks") == 0
         assert fused["stats"].pop("fallbacks") >= 1
         for key in ("y", "stats", "newton", "error"):
             assert fused[key] == oracle[key], key
         # each case does what its name says on the per-iteration path
-        if "nan" in case:
+        if case == "adaptive-nan-update":
+            # the NaN stage is never an attempt's first, but the Jacobian
+            # it failed with is the attempt's own: every retry cuts h,
+            # from 2e-3 at the start down to an underflow at the fault
+            assert oracle["error"][0] == "SolverError"
+            assert oracle["error"][1].startswith("step size underflow")
+            assert oracle["stats"]["conv_failures"] > 0
+            assert oracle["stats"]["last_h"] < 1e-9
+        elif "nan" in case:
             assert oracle["error"][0] == "SolverError"
         else:
             assert oracle["error"] is None

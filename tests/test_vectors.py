@@ -6,7 +6,8 @@ import pytest
 from mrflow.transport import run_spmd
 from mrflow.vectors import (ManyVector, ReductionLedger, SNAPSHOT_MAGIC,
                             error_weights, fused_linear_combination,
-                            read_snapshot, wrms_norm, write_snapshot)
+                            read_snapshot, reduction_slots, wrms_finish,
+                            wrms_norm, wrms_partials, write_snapshot)
 
 
 def mv(*arrays, **kw):
@@ -151,6 +152,54 @@ def test_unbatched_wrms_is_one_round_per_subvector():
     assert all(rounds == 6 for _, rounds in unbatched)
     # identical values either way, just more rounds
     assert batched[0][0].hex() == unbatched[0][0].hex()
+
+
+def test_reduction_slots_are_the_fields():
+    cells = (4, 2, 2)
+    assert reduction_slots(mv(np.ones((3,) + cells))) == 3   # a block
+    assert reduction_slots(mv(*[np.ones(cells)] * 5,
+                              np.ones(cells + (10,)))) == 6
+    assert reduction_slots(mv([1.0, 2.0])) == 1
+    assert reduction_slots(mv(np.ones((1,) + cells))) == 1
+
+
+def _slot_rule(comm, batched):
+    """On a (3, 8, 8, 8) block and on its rows as three arrays: the bits
+    of wrms_norm and of one wrms_finish of two norms, and the rounds of
+    each."""
+    ledger = ReductionLedger()
+    comm.ledger = ledger
+    rng = np.random.default_rng(17 + comm.rank)
+    x, w, w2 = (rng.uniform(-2.0, 2.0, (3, 8, 8, 8)) for _ in range(3))
+    out = []
+    for layout in (lambda a: [a], lambda a: [row.copy() for row in a]):
+        def vec(a):
+            return ManyVector(layout(a), 2 * a.size * comm.size, comm,
+                              batched)
+
+        xv = vec(x)
+        ledger.global_reduction_count = 0
+        norm = wrms_norm(xv, vec(w))
+        rounds = [ledger.global_reduction_count]
+        pair = wrms_finish(xv, wrms_partials(xv, vec(w))
+                           + wrms_partials(xv, vec(w2)))
+        rounds.append(ledger.global_reduction_count - rounds[0])
+        out.append(([v.hex() for v in (norm, *pair)], rounds))
+    return out
+
+
+@pytest.mark.parametrize("tasks", [1, 2])
+@pytest.mark.parametrize("batched", [True, False])
+def test_block_norms_keep_one_slot_per_field(tasks, batched):
+    # one row sum per field: the block's norms are the three arrays'
+    # bits, in 1 round batched and one per slot unbatched (3 for a norm,
+    # 6 for a finish of two)
+    results = run_spmd(tasks, _slot_rule, batched)
+    for (block_bits, block_rounds), (arrays_bits, arrays_rounds) in results:
+        assert block_bits == arrays_bits
+        assert block_rounds == arrays_rounds == ([1, 1] if batched
+                                                 else [3, 6])
+    assert all(r[0][0] == results[0][0][0] for r in results)
 
 
 def test_global_length_in_wrms_denominator():
