@@ -13,12 +13,13 @@ type: in fixed steps, or adaptively under the integral controller, as
 its FastSolve says.
 
 A fused run (batched_reductions) with a Newton engine speculates that
-every implicit stage converges at its first iteration: each stage keeps
-its update norm's local partials, and one round checks them all, once
-per adaptive attempt (with the error estimate's) or per fixed interval.
-If a stage fails that test, or a solve raises, the attempt or interval
-is undone and redone on the per-iteration path (IntegrationStats
-.fallbacks). Either way the bits are those of the per-iteration path.
+each implicit stage converges at its first iteration. A window (an
+adaptive attempt, or a fixed interval) keeps the stages' update norm
+partials, and one round checks them, with the error estimate's in
+adaptive mode. If one fails the k = 1 test (NaN if its solve raised),
+t, y, the statistics and Newton cache go back to the window's start and
+the rest of the call runs per iteration (IntegrationStats.fallbacks).
+Either way the bits are those of the per-iteration path.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .newton import DEFAULT_CONV_COEF, ConvergenceFailure
 from .vectors import (error_weights, fused_linear_combination,
-                      reduction_slots, wrms_finish, wrms_norm, wrms_partials)
+                      reduction_slots, wrms_finish, wrms_partials)
 
 SAFETY = 0.99
 MAX_GROWTH = 2.0
@@ -194,7 +195,7 @@ class IntegrationStats:
     accepted: int = 0
     rejected: int = 0
     conv_failures: int = 0
-    fallbacks: int = 0   # speculative attempts or intervals redone
+    fallbacks: int = 0   # windows undone; the call then runs per iteration
     last_h: float = 0.0
 
 
@@ -227,7 +228,8 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
     SolverError at the first non-finite error estimate, when the step
     size underflows, or when the call has made DEFAULT_MAX_STEPS
     attempts. step_log, if given, receives one (t, h, error, accepted)
-    tuple per adaptive attempt.
+    tuple per adaptive attempt. A speculative window that fails its
+    k = 1 test is undone, and the call goes on per iteration.
     """
     if stats is None:
         stats = IntegrationStats()
@@ -258,21 +260,16 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
         h_try = min(h, tf - t)
         error_weights(y, fast.rtol, fast.atol, weights)
         jac_evals = newton.stats.jac_evals if newton is not None else 0
-        if speculate and (adaptive or pending is None):
-            pending, saved = [], (newton, stats, replace(stats),
-                                  newton.checkpoint(), [] if adaptive else
-                                  [a.copy() for a in y.arrays])
+        if speculate and pending is None:
+            pending = []
+            saved = (t, replace(stats, fallbacks=stats.fallbacks + 1),
+                     newton.checkpoint(), [a.copy() for a in y.arrays])
         try:
             if newton is None:
                 y_new = erk_step(f, t, h_try, y, fast.table, err_out=err)
             else:
                 y_new = dirk_step(f, newton, t, h_try, y, fast.table, weights,
                                   err_out=err, pending=pending)
-                if adaptive and speculate:
-                    pending += wrms_partials(err, weights)
-                    if not (norms := _settle(pending, saved, y, True)):
-                        y_new = dirk_step(f, newton, t, h_try, y, fast.table,
-                                          weights, err_out=err)
         except ConvergenceFailure as exc:
             stats.conv_failures += 1
             if not adaptive:
@@ -284,9 +281,23 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
                 h = NEWTON_SHRINK * h_try
             # a stale Jacobian was already dropped; retry at the same size
             continue
+        if adaptive or (pending and not tf - (t + h_try) > tiny):
+            # close the window: its stage norms, then the error estimate
+            norms = wrms_finish(y, (pending or []) + (
+                wrms_partials(err, weights) if adaptive else []))
+            pending = None
+            if not all(n <= DEFAULT_CONV_COEF
+                       for n in norms[:len(norms) - adaptive]):
+                t, undo, cache, saved_y = saved
+                newton.restore(cache)
+                vars(stats).update(vars(undo))
+                for dst, src in zip(y.arrays, saved_y):
+                    dst[...] = src
+                speculate = False
+                continue
         stats.steps += 1
         if adaptive:
-            error = norms[-1] if speculate and norms else wrms_norm(err, weights)
+            error = norms[-1]
             if not np.isfinite(error):
                 raise SolverError(f"non-finite error estimate {error} at"
                                   f" t={t!r} with h={h_try!r}")
@@ -301,25 +312,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
         t += h_try
         for dst, src in zip(y.arrays, y_new.arrays):
             dst[:] = src
-        if pending and not adaptive and not tf - t > tiny:
-            # the interval's last step closes its window
-            if not _settle(pending, saved, y, False):
-                t, pending, speculate = t0, None, False   # redo it all
     return y, stats
-
-
-def _settle(pending, saved, y, adaptive):
-    """Finish the window's norms in one round. Return them if every stage
-    norm passes the k = 1 test (an adaptive window's last norm is its
-    error estimate); otherwise undo the window and return None."""
-    norms = wrms_finish(y, pending)
-    if all(n <= DEFAULT_CONV_COEF for n in norms[:len(norms) - adaptive]):
-        return norms
-    newton, stats, saved_stats, cache, saved_y = saved
-    newton.restore(cache)
-    vars(stats).update(vars(saved_stats), fallbacks=saved_stats.fallbacks + 1)
-    for dst, src in zip(y.arrays, saved_y):
-        dst[...] = src
 
 
 def fixed_evolve(f, y, t0: float, tf: float, h: float, table: ButcherTable, *,

@@ -204,7 +204,8 @@ class EnergyBookkeeping:
                                + d_tau * forcing.arrays[5][..., IEG])
         for v, r in zip(state.arrays, forcing.arrays):
             v += d_tau * r
-        chem[..., FAST_SLOTS] = np.moveaxis(block, 0, -1)
+        for j, row in zip(FAST_SLOTS, block):
+            chem[..., j] = row
         state.arrays[IET] += rho * heating
         sync_gas_energy(state)
 

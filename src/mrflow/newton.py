@@ -44,12 +44,8 @@ class LinearSolveError(RuntimeError):
 
 
 class ConvergenceFailure(Exception):
-    """Newton did not converge; jac_was_fresh tells whether this solve
-    evaluated the Jacobian it failed with."""
-
-    def __init__(self, message: str, jac_was_fresh: bool):
-        super().__init__(message)
-        self.jac_was_fresh = jac_was_fresh
+    """Newton did not converge. A speculative solve (pending) never
+    raises it: its caller's window fails the k = 1 test and is undone."""
 
 
 def block_lu_factor(blocks: np.ndarray) -> np.ndarray:
@@ -153,8 +149,7 @@ class NewtonEngine:
             raise LinearSolveError(
                 f"z has shape {', '.join(str(x.shape) for x in z.arrays)},"
                 f" expected ({m},) + cell shape")
-        fresh = self._jac_values is None
-        if fresh:
+        if self._jac_values is None:
             with self.profile.region(Region.FAST_JAC):
                 jac = self.jacobian(t, z)
             want = (m, m) + zz.shape[1:]
@@ -163,7 +158,7 @@ class NewtonEngine:
                     f"Jacobian has shape {np.shape(jac)}, expected {want}")
             self._jac_values = jac
             self.stats.jac_evals += 1
-        if fresh or self._lu is None or hg != self._hg_cached:
+        if self._lu is None or hg != self._hg_cached:
             self._factor(hg)
 
         norm_prev = None
@@ -198,8 +193,7 @@ class NewtonEngine:
         self.stats.failures += 1
         self.reset()
         raise ConvergenceFailure(
-            f"no convergence after {k} iterations (update norm {norm:.3g})",
-            fresh)
+            f"no convergence after {k} iterations (update norm {norm:.3g})")
 
     def _factor(self, hg: float):
         self._lu = None
