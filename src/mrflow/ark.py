@@ -217,8 +217,8 @@ class FastSolve:
 
 def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
            stats: IntegrationStats = None, h0: float = None, step_log=None):
-    """Advance y from t0 to tf with fast.table; y is updated in place
-    and also returned.
+    """Advance y from t0 to tf with fast.table and return y; y then holds
+    the last accepted step's arrays and its entry arrays stay unwritten.
 
     Fixed mode takes steps of fast.h, the last one truncated to hit tf,
     and a Newton convergence failure is fatal: there is no step size to
@@ -263,7 +263,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
         if speculate and pending is None:
             pending = []
             saved = (t, replace(stats, fallbacks=stats.fallbacks + 1),
-                     newton.checkpoint(), [a.copy() for a in y.arrays])
+                     newton.checkpoint(), y.arrays)
         try:
             if newton is None:
                 y_new = erk_step(f, t, h_try, y, fast.table, err_out=err)
@@ -274,8 +274,8 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
             stats.conv_failures += 1
             if not adaptive:
                 raise SolverError(
-                    f"Newton failed at t={t!r} with fixed step {h_try!r}"
-                ) from exc
+                    f"Newton failed at t={t!r} with fixed step {h_try!r}:"
+                    f" {exc}") from exc
             stats.steps += 1
             if newton.stats.jac_evals > jac_evals:   # a fresh J failed
                 h = NEWTON_SHRINK * h_try
@@ -288,11 +288,9 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
             pending = None
             if not all(n <= DEFAULT_CONV_COEF
                        for n in norms[:len(norms) - adaptive]):
-                t, undo, cache, saved_y = saved
+                t, undo, cache, y.arrays = saved
                 newton.restore(cache)
                 vars(stats).update(vars(undo))
-                for dst, src in zip(y.arrays, saved_y):
-                    dst[...] = src
                 speculate = False
                 continue
         stats.steps += 1
@@ -310,8 +308,7 @@ def evolve(f, y, t0: float, tf: float, fast: FastSolve, *, newton=None,
         stats.accepted += 1
         stats.last_h = h_try
         t += h_try
-        for dst, src in zip(y.arrays, y_new.arrays):
-            dst[:] = src
+        y.arrays = y_new.arrays
     return y, stats
 
 

@@ -195,9 +195,9 @@ class EulerPipeline:
     """Slow right-hand side: f(t, w) = -div F(w), with no source term.
 
     Owns the halo exchanger and the extended arrays for one task. A call
-    sums each field's divergence over the axes straight into the output,
-    one face difference at a time through one cell-sized scratch array,
-    then negates the output in place. Timing lands in regions: MPI
+    writes -div F straight into the output as face differences lo - hi,
+    so no pass negates it: the first axis in place, each later one through
+    one cell-sized scratch array. Timing lands in regions: MPI
     for the halo exchange, Packing for copying the owned fields into the
     extended arrays, FDWENO for pointwise fluxes and reconstruction,
     Euler for the whole divergence build, SlowRhs for the full call.
@@ -229,14 +229,11 @@ class EulerPipeline:
                         face = _face_flux(w, *self._pointwise(w, axis), WENO_EPS)
                     hi, lo = (np.moveaxis(face[s], 0, 1 + axis)
                               for s in (np.s_[1:], np.s_[:-1]))
-                    for o, a, b in zip(state_fields(out), hi, lo):
-                        np.divide(np.subtract(a, b, out=term), h, out=term)
+                    for o, a, b in zip(state_fields(out), lo, hi):
+                        d = term if axis else o   # the first axis: o itself
+                        np.divide(np.subtract(a, b, out=d), h, out=d)
                         if axis:
-                            o += term
-                        else:
-                            o[...] = term
-            for o in out.arrays:
-                np.negative(o, out=o)
+                            o += d
         return out
 
     def _pointwise(self, w, axis):

@@ -4,11 +4,11 @@ The unknowns z are one (m,) + cell shape array, one field per row. The
 reaction network couples them only within a cell, so the Jacobian is
 block diagonal: one dense m x m block per cell (3 x 3 for the surrogate
 network on H, H2 and e_g). The blocks of I - hg*J are stored
-cell-innermost, (m, m, cells), factored by partially pivoted LU batched
-over cells and solved on z's (m, cells) view, so each entry is one
-contiguous row over the cells. A pivot swap is a masked selection
-(np.where) between two rows for the cells that pivot there; the swaps
-compose into one flat gather index, so a solve gathers rhs once.
+cell-innermost, (m, m, cells), so each entry is one contiguous row
+over the cells, and factored by partially pivoted LU batched over
+cells. A pivot swap is a masked selection (np.where) of two rows for
+the cells that pivot there; the swaps compose into one gather index.
+A solve reads the residual g itself: z -= A^-1 g, no negated copy.
 
 The convergence norm of each update is a WRMS norm of z's length and
 mode flag: one round per iteration when batched, one per field when
@@ -170,12 +170,11 @@ class NewtonEngine:
             g *= -hg
             g += zz
             g -= a.arrays[0]
-            with self.profile.region(Region.LIN_SOLVE):   # g <- -A^-1 g
-                rhs = np.negative(g.reshape(m, -1))
-                g[...] = block_lu_solve(self._lu, self._perm, rhs
-                                        ).reshape(g.shape)
+            with self.profile.region(Region.LIN_SOLVE):   # z -= A^-1 g
+                resid.arrays[0] = dz = block_lu_solve(
+                    self._lu, self._perm, g.reshape(m, -1)).reshape(g.shape)
             self.stats.solves += 1
-            zz += g
+            zz -= dz
             partials = wrms_partials(resid, weights)
             if pending is not None:
                 pending += partials
@@ -192,8 +191,12 @@ class NewtonEngine:
             norm_prev = norm
         self.stats.failures += 1
         self.reset()
+        r, cell = divmod(int(np.argmax(np.abs(dz * weights.arrays[0]))),
+                         dz[0].size)   # the first NaN, if any
         raise ConvergenceFailure(
-            f"no convergence after {k} iterations (update norm {norm:.3g})")
+            f"no convergence after {k} iterations (update norm {norm:.3g});"
+            f" largest |update*w| on rank {getattr(z.comm, 'rank', 0)}, field"
+            f" {self.names[r]}, local cell {cell}")
 
     def _factor(self, hg: float):
         self._lu = None

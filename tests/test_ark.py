@@ -11,7 +11,9 @@ from mrflow.ark import (ERROR_BIAS, MAX_GROWTH, SAFETY, ButcherTable,
                         evolve, fixed_evolve, knoth_wolke_3, next_step_size,
                         sdirk4)
 from mrflow.chemistry import N_SPECIES, SurrogateNetwork
+from mrflow.newton import NewtonEngine
 from mrflow.testsuite import observed_order, reference_ivp
+from mrflow.transport import run_spmd
 from mrflow.vectors import ManyVector
 
 from cell_ode import (network_on_fields, one_cell, scalar_newton,
@@ -451,6 +453,58 @@ def test_fixed_newton_failure_is_fatal():
     assert stats.conv_failures == 1
     assert stats.steps == stats.accepted == 0
     assert eng.stats.failures == 1
+
+
+def _stiff_in_one_cell(comm):
+    """A fixed-mode evolve on two fields over 5 cells per task with a
+    zero Jacobian, which diverges: on rank 1, field b of local cell 3
+    decays 1000 times faster than the rest and has the largest update."""
+    lam = np.full((2, 5), -10.0)
+    if comm.rank == 1:
+        lam[1, 3] *= 1000.0
+
+    def f(t, v):
+        return ManyVector([lam * v.arrays[0]], v.global_length, v.comm,
+                          v.batched_reductions)
+
+    eng = NewtonEngine(lambda t, v: np.zeros((2, 2, 5)), ("a", "b"))
+    y = ManyVector([np.ones((2, 5))], 10 * comm.size, comm)
+    try:
+        fixed_evolve(f, y, 0.0, 1.0, 0.1, sdirk4(), newton=eng)
+    except SolverError as exc:
+        return str(exc)
+
+
+def test_fixed_newton_failure_names_rank_field_and_cell():
+    # rank 0's updates are all equal: the first one is named
+    for rank, msg in enumerate(run_spmd(2, _stiff_in_one_cell)):
+        assert msg.startswith("Newton failed at t=0.0 with fixed step 0.1:"
+                              " no convergence after ")
+        cell = 3 if rank else 0
+        assert msg.endswith(f"largest |update*w| on rank {rank}, field"
+                            f" {'b' if rank else 'a'}, local cell {cell}")
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("implicit", [False, True], ids=["erk", "dirk"])
+def test_evolve_hands_arrays_over_and_never_writes_entry_ones(mode, implicit):
+    # the Jacobian overstates the stiffness, so Newton needs more than
+    # one iteration and a fused window is undone
+    lam = -40.0
+    table = sdirk4() if implicit else bogacki_shampine_32()
+    eng = scalar_newton(lambda t: 1.25 * lam) if implicit else None
+    y = ManyVector([np.zeros((1, 3))])
+    entry = y.arrays
+    stats = IntegrationStats()
+    out, _ = evolve(_scalar_rhs(lambda t, c: lam * (c - 1.0)), y, 0.0, 0.5,
+                    FastSolve(table, mode, 0.05, rtol=1e-6, atol=1e-9),
+                    newton=eng, stats=stats)
+    assert out is y
+    assert entry[0].tobytes() == np.zeros((1, 3)).tobytes()
+    assert not any(a is entry[0] for a in y.arrays)
+    np.testing.assert_allclose(y.arrays[0], 1.0 - np.exp(lam * 0.5),
+                               rtol=1e-4)
+    assert stats.fallbacks == implicit
 
 
 def test_fixed_mode_has_no_step_budget_or_underflow_check(monkeypatch):

@@ -468,10 +468,10 @@ def test_uniform_state_has_zero_rhs():
         state = _state((6, 6, 6), 1, {"rho": 1.3, "mx": 0.7, "et": 9.0})
         state.arrays[5][..., 0] = 0.25
         pipe = _nan_ghosts(EulerPipeline(comm, d, GAS, 1))
-        out = pipe(0.0, state)
-        return [np.abs(a).max() for a in out.arrays]
-    maxima = run_spmd(1, fn)[0]
-    assert max(maxima) == 0.0
+        return pipe(0.0, state).arrays
+    # exactly +0: the sign is in the face difference, not a negation
+    for a in run_spmd(1, fn)[0]:
+        assert np.all(a == 0.0) and not np.signbit(a).any()
 
 
 def _advection_rhs_error(comm, n):
